@@ -12,6 +12,7 @@ that a locally controlled oscillator chain is fully controllable.
 __version__ = "0.1.0"
 
 from .symplectic import (
+    audit_symplecticity,
     commutator,
     expm,
     identity_distance,
@@ -61,7 +62,6 @@ from .evolution import (
     ControlSchedule,
     CovarianceState,
     Segment,
-    audit_symplecticity,
     evolve_covariance,
     propagate,
 )
@@ -82,7 +82,8 @@ from .documents import DocumentError, ModelDocument, ScheduleDocument
 __all__ = [
     "__version__",
     # symplectic
-    "symplectic_form", "is_symplectic", "commutator", "expm", "identity_distance",
+    "symplectic_form", "is_symplectic", "audit_symplecticity", "commutator", "expm",
+    "identity_distance",
     # hamiltonians
     "QuadraticHamiltonian", "HamiltonianTerm", "SymplecticGenerator",
     "number", "hop", "pair", "squeeze", "generic",
@@ -98,7 +99,7 @@ __all__ = [
     "mode_distance", "conditioning_bound", "find_recurrence", "non_recurrence_witness",
     # evolution
     "ControlModel", "ControlSchedule", "Segment", "CovarianceState",
-    "propagate", "evolve_covariance", "audit_symplecticity",
+    "propagate", "evolve_covariance",
     # chain
     "ChainSpec", "TripleParams", "PositivityCheck", "IdentityReport",
     "ControllabilityReport", "build_chain", "positivity_condition",

@@ -34,6 +34,7 @@ __all__ = [
     "build_chain",
     "positivity_condition",
     "positive_triple",
+    "identity_suite_unmet",
     "verify_bracket_identities",
     "controllability_report",
     "IDENTITY_NAMES",
@@ -110,13 +111,12 @@ class PositivityCheck(NamedTuple):
 
 def positivity_condition(spec: ChainSpec) -> PositivityCheck:
     """Evaluate the sufficient condition and the actual drift definiteness."""
-    drift = build_chain(spec).drift
-    w = np.linalg.eigvalsh(drift.A)
-    return PositivityCheck(
-        sufficient=spec.positivity_sufficient,
-        actual=bool(w[0] > 0.0),
-        min_eigenvalue=float(w[0]),
-    )
+    return _positivity(spec, np.linalg.eigvalsh(build_chain(spec).drift.A))
+
+
+def _positivity(spec: ChainSpec, drift_eigenvalues: np.ndarray) -> PositivityCheck:
+    w0 = float(drift_eigenvalues[0])
+    return PositivityCheck(spec.positivity_sufficient, actual=w0 > 0.0, min_eigenvalue=w0)
 
 
 @dataclass(frozen=True)
@@ -138,6 +138,14 @@ def positive_triple(
     combination is verified numerically positive definite; the offending
     combination and eigenvalue are reported otherwise.
     """
+    model = build_chain(spec)
+    return _triple(spec, params, model, np.linalg.eigvalsh(model.drift.A), definiteness_tol)
+
+
+def _triple(
+    spec: ChainSpec, params: TripleParams, model: ControlModel,
+    drift_eigenvalues: np.ndarray, definiteness_tol: float = 1e-10,
+) -> list[QuadraticHamiltonian]:
     if not params.alpha * spec.omega1 > 0:
         raise ValueError(
             f"triple constraint violated: alpha * omega1 = "
@@ -149,7 +157,6 @@ def positive_triple(
             f"got delta * chi = {params.delta * spec.chi:g}, "
             f"beta * omega1 = {params.beta * spec.omega1:g}"
         )
-    model = build_chain(spec)
     H0, H1, H2 = model.drift, model.controls[0], model.controls[1]
     combos = [
         QuadraticHamiltonian(spec.n, H0.A, label="T0"),
@@ -159,7 +166,8 @@ def positive_triple(
         ),
     ]
     for combo in combos:
-        w = np.linalg.eigvalsh(combo.A)
+        # T0 is the drift itself, whose spectrum the caller already has
+        w = drift_eigenvalues if combo is combos[0] else np.linalg.eigvalsh(combo.A)
         scale = max(abs(w[0]), abs(w[-1]))
         if w[0] <= definiteness_tol * scale:
             raise DefinitenessError(
@@ -415,6 +423,25 @@ IDENTITY_NAMES = (
 )
 
 
+def identity_suite_unmet(spec: ChainSpec) -> list[str]:
+    """The preconditions of the bracket-identity suite that ``spec`` fails.
+
+    The suite needs n >= 3 (the long-distance identity spans three sites),
+    g1 == g2 (the uniform q-q coupling case the identity chain covers), and
+    nonzero g1, omega1 and chi so the normalisations exist. An empty list
+    means the suite applies.
+    """
+    unmet = []
+    if spec.n < 3:
+        unmet.append(f"n >= 3 (long-distance bracket spans three sites), got n = {spec.n}")
+    if spec.g1 != spec.g2:
+        unmet.append(f"the uniform coupling case g1 == g2, got g1 = {spec.g1:g}, g2 = {spec.g2:g}")
+    for name in ("g1", "omega1", "chi"):
+        if getattr(spec, name) == 0.0:
+            unmet.append(f"nonzero {name} for its normalisations")
+    return unmet
+
+
 def verify_bracket_identities(
     spec: ChainSpec,
     tol: float = 1e-12,
@@ -422,27 +449,16 @@ def verify_bracket_identities(
 ) -> IdentityReport:
     """Machine-check the bracket-identity chain behind local controllability.
 
-    Requires n >= 3 (the long-distance identity spans three sites) and
-    g1 == g2 (the uniform q-q coupling case the identity chain covers);
-    the couplings and both control strengths must be nonzero so the
-    normalisations exist.
+    Raises ``ValueError`` naming every precondition of
+    :func:`identity_suite_unmet` that ``spec`` fails.
 
     ``mutate`` maps identity names to multiplicative factors on that
     identity's designated coefficient; it exists so tests can prove the
     harness is not vacuous.
     """
-    if spec.n < 3:
-        raise ValueError(
-            f"identity suite needs n >= 3 (long-distance bracket spans three sites), got n = {spec.n}"
-        )
-    if spec.g1 != spec.g2:
-        raise ValueError(
-            f"identity suite covers the uniform coupling case g1 == g2 only, "
-            f"got g1 = {spec.g1:g}, g2 = {spec.g2:g}"
-        )
-    for name in ("g1", "omega1", "chi"):
-        if getattr(spec, name) == 0.0:
-            raise ValueError(f"identity suite needs nonzero {name} for its normalisations")
+    unmet = identity_suite_unmet(spec)
+    if unmet:
+        raise ValueError(f"identity suite needs {'; '.join(unmet)}")
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
 
@@ -481,10 +497,13 @@ VERDICT_NOT_ESTABLISHED = "NOT_ESTABLISHED"
 class ControllabilityReport:
     """End-to-end verdict for a chain spec.
 
-    CONTROLLABLE: rank criterion met and a validated positive-definite
-    generating triple with matching closure exists. RANK_ONLY: rank met but
-    no triple validated. NOT_ESTABLISHED: rank not met; ``passive`` then
-    records whether the closure stayed number conserving.
+    CONTROLLABLE: rank criterion met and the generating triple validated
+    positive definite. The triple's closure is not recomputed: the triple is
+    an invertible recombination of {H0, H1, H2} and a Lie closure depends
+    only on the span of its seeds, so ``triple_dimension`` equals
+    ``dimension`` whenever ``triple_ok``. RANK_ONLY: rank met but no triple
+    validated. NOT_ESTABLISHED: rank not met; ``passive`` then records
+    whether the closure stayed number conserving.
     """
 
     spec: ChainSpec
@@ -519,25 +538,22 @@ def controllability_report(
     seeds = [generator(model.drift)] + [generator(c) for c in controls]
     sub = closure(seeds, tol=tol)
     rank = rank_criterion(sub)
-    positivity = positivity_condition(spec)
+    drift_eigenvalues = np.linalg.eigvalsh(model.drift.A)
+    positivity = _positivity(spec, drift_eigenvalues)
 
     triple_ok = False
     triple_message: Optional[str] = None
     triple_dimension: Optional[int] = None
     if include_squeeze_control:
         try:
-            triple = positive_triple(spec, params)
-            triple_sub = closure([generator(t) for t in triple], tol=tol)
-            triple_dimension = triple_sub.dimension
-            if triple_dimension == sub.dimension:
-                triple_ok = True
-            else:
-                triple_message = (
-                    f"triple closure dimension {triple_dimension} differs from "
-                    f"raw control closure dimension {sub.dimension}"
-                )
-        except (ValueError, DefinitenessError) as exc:
+            _triple(spec, params, model, drift_eigenvalues)
+        except ValueError as exc:
             triple_message = str(exc)
+        else:
+            # the triple is {H0, H1, H2} recombined with determinant
+            # alpha * delta != 0, and a closure depends only on the seeds' span
+            triple_ok = True
+            triple_dimension = sub.dimension
     else:
         triple_message = "triple not attempted: squeeze control excluded"
 

@@ -18,7 +18,9 @@ import time
 import numpy as np
 
 from . import __version__
-from .chain import ChainSpec, TripleParams, controllability_report, verify_bracket_identities
+from .chain import (
+    ChainSpec, TripleParams, controllability_report, identity_suite_unmet, verify_bracket_identities,
+)
 from .closure import closure, full_dimension, passivity_check, rank_criterion
 from .documents import (
     DocumentError,
@@ -28,9 +30,10 @@ from .documents import (
     file_digest,
     write_report,
 )
-from .evolution import CovarianceState, audit_symplecticity, evolve_covariance, propagate
+from .evolution import CovarianceState, evolve_covariance, propagate
 from .hamiltonians import generator
 from .recurrence import RecurrenceQuery, find_recurrence
+from .symplectic import audit_symplecticity
 from .williamson import (
     DefinitenessError,
     spectrum_certificate,
@@ -186,12 +189,6 @@ def cmd_evolve(args) -> int:
     model_doc = ModelDocument.from_path(args.model)
     schedule_doc = ScheduleDocument.from_path(args.schedule)
     model = model_doc.control_model()
-    for i, seg in enumerate(schedule_doc.schedule.segments):
-        if len(seg.values) != model.num_controls:
-            raise DocumentError(
-                f"segments[{i}].controls: expected {model.num_controls} values "
-                f"(model controls: {list(model_doc.controls)}), got {len(seg.values)}"
-            )
     sigma = schedule_doc.initial_covariance
     if sigma is not None and sigma.shape != (2 * model.n, 2 * model.n):
         raise DocumentError(
@@ -228,16 +225,11 @@ def cmd_chain(args) -> int:
         omega1=args.omega1, chi=args.chi,
     )
     params = TripleParams(alpha=args.alpha, beta=args.beta, delta=args.delta)
-    identities_possible = spec.n >= 3 and spec.g1 == spec.g2 and not args.h1_only
-    if args.identities == "require" and not identities_possible:
-        reasons = []
-        if spec.n < 3:
-            reasons.append(f"identities need n >= 3 (got n = {spec.n})")
-        if spec.g1 != spec.g2:
-            reasons.append(f"identities need g1 == g2 (got {spec.g1:g} and {spec.g2:g})")
-        if args.h1_only:
-            reasons.append("identities need the squeeze control (--h1-only excludes it)")
-        print(f"error: {'; '.join(reasons)}", file=sys.stderr)
+    unmet = identity_suite_unmet(spec)
+    if args.h1_only:
+        unmet.append("the squeeze control (--h1-only excludes it)")
+    if args.identities == "require" and unmet:
+        print(f"error: identity suite needs {'; '.join(unmet)}", file=sys.stderr)
         return 2
 
     echo = {
@@ -275,7 +267,7 @@ def cmd_chain(args) -> int:
         "passive": rep.passive,
     }
     identities_ok = True
-    if identities_possible and args.identities != "skip":
+    if not unmet and args.identities != "skip":
         id_report = verify_bracket_identities(spec, tol=args.identity_tol)
         identities_ok = id_report.all_pass
         results["identities"] = {

@@ -26,7 +26,7 @@ import numpy as np
 
 from .hamiltonians import QuadraticHamiltonian
 from .symplectic import expm, identity_distance, symplectic_form
-from .williamson import symplectic_eigenvalues, williamson_decompose
+from .williamson import _coerce_symmetric, symplectic_eigenvalues, williamson_decompose
 
 __all__ = [
     "RecurrenceQuery",
@@ -257,10 +257,7 @@ def non_recurrence_witness(H, horizon: float, samples: int) -> float:
     instance the free particle, where the distance is exactly 2t) the
     minimum sits at the first grid point and scales linearly with it.
     """
-    if isinstance(H, QuadraticHamiltonian):
-        A = np.asarray(H.A, dtype=float)
-    else:
-        A = np.asarray(H, dtype=float)
+    A = _coerce_symmetric(H)
     if not (horizon > 0.0 and np.isfinite(horizon)):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     if samples < 1:

@@ -13,6 +13,7 @@ import scipy.linalg
 __all__ = [
     "symplectic_form",
     "is_symplectic",
+    "audit_symplecticity",
     "commutator",
     "expm",
     "identity_distance",
@@ -37,15 +38,20 @@ def symplectic_form(n: int) -> np.ndarray:
     return np.kron(np.eye(int(n)), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
-def is_symplectic(S, tol: float = 1e-12) -> bool:
-    """True iff ``||S Omega S^T - Omega||_F <= tol``."""
+def audit_symplecticity(S) -> float:
+    """The defect ``||S Omega S^T - Omega||_F`` for logging and acceptance."""
     S = _as_square(S, "S")
     if S.shape[0] % 2:
         raise ValueError(f"symplectic matrices have even dimension, got {S.shape}")
+    omega = symplectic_form(S.shape[0] // 2)
+    return float(np.linalg.norm(S @ omega @ S.T - omega))
+
+
+def is_symplectic(S, tol: float = 1e-12) -> bool:
+    """True iff ``||S Omega S^T - Omega||_F <= tol``."""
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    omega = symplectic_form(S.shape[0] // 2)
-    return bool(np.linalg.norm(S @ omega @ S.T - omega) <= tol)
+    return audit_symplecticity(S) <= tol
 
 
 def commutator(X, Y) -> np.ndarray:

@@ -52,16 +52,18 @@ class DefinitenessError(ValueError):
         self.smallest_eigenvalue = float(smallest_eigenvalue)
 
 
-def _coerce_symmetric(H, name: str = "A") -> np.ndarray:
-    """Accept a QuadraticHamiltonian or a plain symmetric matrix."""
+def _coerce_symmetric(H) -> np.ndarray:
+    """The matrix A of a QuadraticHamiltonian or of a plain symmetric matrix.
+
+    A plain matrix is wrapped in a QuadraticHamiltonian, so it meets the
+    constructor's shape, finiteness and symmetry checks.
+    """
     if isinstance(H, QuadraticHamiltonian):
-        return np.asarray(H.A, dtype=float)
+        return H.A
     A = np.asarray(H, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 2:
-        raise ValueError(f"{name} must be square with even dimension, got shape {A.shape}")
-    if np.linalg.norm(A - A.T) > 1e-12 * max(1.0, np.linalg.norm(A)):
-        raise ValueError(f"{name} must be symmetric")
-    return A
+        raise ValueError(f"A must be square with even dimension, got shape {A.shape}")
+    return QuadraticHamiltonian(A.shape[0] // 2, A).A
 
 
 def _require_positive_definite(A: np.ndarray, tol: float = DEFAULT_DEFINITENESS_TOL) -> np.ndarray:
@@ -198,24 +200,15 @@ class SpectrumCertificate:
     diagonalizer_condition: float
 
 
-def spectrum_certificate(H, tol: float = 1e-12) -> SpectrumCertificate:
+def spectrum_certificate(H) -> SpectrumCertificate:
     """Certify the spectrum of A Omega for any symmetric A.
 
     Definiteness is deliberately not required: the certificate also covers
     semi-definite extensions and detects non-recurring counterexamples such
     as the free-particle Hamiltonian p^2, whose A Omega is a nilpotent
     Jordan block. Verdicts are data, not exceptions.
-
-    ``tol`` is the symmetry-validation tolerance for plain-matrix input.
     """
-    if isinstance(H, QuadraticHamiltonian):
-        A = np.asarray(H.A, dtype=float)
-    else:
-        A = np.asarray(H, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 2:
-            raise ValueError(f"A must be square with even dimension, got shape {A.shape}")
-        if np.linalg.norm(A - A.T) > tol * max(1.0, np.linalg.norm(A)):
-            raise ValueError("A must be symmetric")
+    A = _coerce_symmetric(H)
     n = A.shape[0] // 2
     ev, W = np.linalg.eig(A @ symplectic_form(n))
     order = np.lexsort((ev.imag, ev.real))

@@ -14,7 +14,7 @@ from oscontrol import (
     positivity_condition,
     verify_bracket_identities,
 )
-from oscontrol.chain import IDENTITY_NAMES
+from oscontrol.chain import IDENTITY_NAMES, identity_suite_unmet
 from oracles import expand_chain_drift
 
 CANONICAL = ChainSpec(n=3, omega=1.0, g1=0.2, g2=0.2, omega1=1.0, chi=1.0)
@@ -160,6 +160,13 @@ def test_identities_reject_short_chain_and_uneven_couplings():
         verify_bracket_identities(ChainSpec(n=3, g1=0.2, g2=0.1))
     with pytest.raises(ValueError, match="nonzero"):
         verify_bracket_identities(ChainSpec(n=3, g1=0.0, g2=0.0))
+    for name in ("omega1", "chi"):
+        with pytest.raises(ValueError, match=f"nonzero {name}"):
+            verify_bracket_identities(ChainSpec(n=3, g1=0.2, g2=0.2, **{name: 0.0}))
+    unmet = identity_suite_unmet(ChainSpec(n=2, g1=0.2, g2=0.1, chi=0.0))
+    assert len(unmet) == 3
+    assert "n >= 3" in unmet[0] and "g1 == g2" in unmet[1] and "nonzero chi" in unmet[2]
+    assert identity_suite_unmet(CANONICAL) == []
     with pytest.raises(ValueError, match="unknown identity"):
         verify_bracket_identities(CANONICAL, mutate={"no-such-identity": 1.01})
 
@@ -192,6 +199,7 @@ def test_controllability_report_rotation_only_is_passive(n):
     assert rep.verdict == "NOT_ESTABLISHED"
     assert not rep.rank_met
     assert rep.passive is True
+    assert not rep.triple_ok and rep.triple_dimension is None
     assert rep.dimension <= n * n
 
 
@@ -204,6 +212,7 @@ def test_general_couplings_reach_full_rank(g1, g2):
         assert rep.rank_met
         assert rep.dimension == full_dimension(n)
         assert rep.verdict == "CONTROLLABLE"
+        assert rep.triple_ok and rep.triple_dimension == rep.dimension
 
 
 def test_controllability_report_strong_coupling_rank_only():
@@ -215,3 +224,13 @@ def test_controllability_report_strong_coupling_rank_only():
     assert not rep.triple_ok
     assert rep.verdict == "RANK_ONLY"
     assert "positive definite" in rep.triple_message
+    assert rep.triple_dimension is None
+
+
+@pytest.mark.parametrize("g", [0.15, 0.2])
+def test_controllability_report_n7_is_controllable(g):
+    # the triple's closure is the raw closure by the span argument; a second
+    # float closure of the triple once stopped at 104 or 103 here
+    rep = controllability_report(ChainSpec(n=7, omega=1.0, g1=g, g2=g))
+    assert rep.verdict == "CONTROLLABLE"
+    assert rep.dimension == rep.triple_dimension == full_dimension(7) == 105

@@ -248,6 +248,22 @@ def test_chain_identities_required_but_impossible(capsys):
     code, _, err = run_cli(capsys, "chain", "--n", "1", "--identities", "require")
     assert code == 2
     assert "n >= 3" in err
+    code, _, err = run_cli(
+        capsys, "chain", "--n", "3", "--g1", "0", "--g2", "0", "--identities", "require"
+    )
+    assert code == 2
+    assert "nonzero g1" in err
+
+
+@pytest.mark.parametrize(
+    "flags", [("--g1", "0", "--g2", "0"), ("--omega1", "0"), ("--chi", "0")]
+)
+def test_chain_auto_skips_identities_it_cannot_normalise(capsys, flags):
+    code, out, _ = run_cli(capsys, "chain", "--n", "3", *flags)
+    report = report_of(out)
+    assert code == 1
+    assert report["results"]["verdict"] in ("RANK_ONLY", "NOT_ESTABLISHED")
+    assert "identities" not in report["results"]
 
 
 def test_chain_invalid_flags_exit_two(capsys):

@@ -20,7 +20,7 @@ from oscontrol import (
     symplectic_eigenvalues,
     symplectic_form,
 )
-from oracles import random_symmetric
+from oracles import random_symmetric, random_symplectic
 
 
 def _single_mode_model():
@@ -78,10 +78,19 @@ def test_segment_validation():
         Segment(duration=1.0, values=(math.inf,))
 
 
-def test_control_count_mismatch():
+def test_control_count_mismatch(monkeypatch):
     model = _single_mode_model()
     with pytest.raises(ValueError):
         propagate(model, ControlSchedule.from_pairs([(1.0, (0.5, 0.5))]))
+
+    # a mismatch in the last segment is found before any segment is propagated
+    def no_expm(*args):
+        raise AssertionError("expm called before the control counts were checked")
+
+    monkeypatch.setattr("oscontrol.evolution.expm", no_expm)
+    schedule = ControlSchedule.from_pairs([(1.0, (0.5,))] * 5 + [(1.0, (0.5, 0.5))])
+    with pytest.raises(ValueError, match="segment 5 supplies 2 control values"):
+        propagate(model, schedule)
 
 
 def test_control_model_requires_matching_modes():
@@ -128,6 +137,20 @@ def test_squeezing_action_on_vacuum():
 def test_evolve_covariance_rejects_non_symplectic():
     with pytest.raises(ValueError):
         evolve_covariance(CovarianceState.vacuum(1), np.diag([2.0, 2.0]))
+
+
+def test_evolve_covariance_audit_scales_with_norm():
+    # a product of symplectic factors is exact to rounding relative to
+    # ||S||^2, far above any absolute tolerance once ||S|| is large
+    rng = np.random.default_rng(14)
+    squeeze = np.diag([math.exp(2.5), math.exp(-2.5)] * 2)
+    S = np.eye(4)
+    for _ in range(6):
+        S = squeeze @ random_symplectic(rng, 2, strength=0.5) @ S
+    assert np.linalg.norm(S) >= 1e5
+    assert audit_symplecticity(S) > 1e-8
+    out = evolve_covariance(CovarianceState.vacuum(2), S)
+    assert np.allclose(out.sigma, 0.5 * S @ S.T, rtol=1e-12, atol=0.0)
 
 
 def test_covariance_symplectic_eigenvalues_preserved():

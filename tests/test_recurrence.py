@@ -177,6 +177,10 @@ def test_non_recurrence_witness_validation():
         non_recurrence_witness(np.eye(2), horizon=-1.0, samples=5)
     with pytest.raises(ValueError):
         non_recurrence_witness(np.eye(2), horizon=1.0, samples=0)
+    with pytest.raises(ValueError, match="symmetric"):
+        non_recurrence_witness(np.array([[1.0, 5.0], [0.0, 1.0]]), horizon=1.0, samples=5)
+    with pytest.raises(ValueError, match="shape"):
+        non_recurrence_witness(np.eye(3), horizon=1.0, samples=5)
 
 
 def test_find_recurrence_terminates_at_large_times():

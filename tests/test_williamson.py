@@ -129,6 +129,18 @@ def test_spectrum_certificate_hyperbolic():
     assert cert.max_real_part == pytest.approx(1.0, abs=1e-12)
 
 
+def test_plain_matrix_input_is_validated_like_a_hamiltonian():
+    bad = {
+        "symmetric": np.array([[1.0, 5.0], [0.0, 1.0]]),
+        "shape": np.eye(3),
+        "non-finite": np.diag([1.0, np.nan]),
+    }
+    for fn in (spectrum_certificate, symplectic_eigenvalues, williamson_decompose):
+        for message, A in bad.items():
+            with pytest.raises(ValueError, match=message):
+                fn(A)
+
+
 def test_williamson_rejects_indefinite_with_offender():
     A = np.diag([2.0, 1.0, 1.0, -0.5])
     with pytest.raises(DefinitenessError) as info:
