@@ -66,6 +66,16 @@ def _base_report(command: str, digest: str, tolerances: dict, echo: dict) -> dic
     }
 
 
+def _closure_diagnostics(sub) -> dict:
+    """How close the closure's rank decisions came to its tolerance."""
+    return {
+        "closure": {
+            "min_accepted_residual": sub.min_accepted_residual,
+            "rank_gap": sub.rank_gap,
+        }
+    }
+
+
 def cmd_rank(args) -> int:
     started = time.perf_counter()
     model_doc = ModelDocument.from_path(args.model)
@@ -90,6 +100,7 @@ def cmd_rank(args) -> int:
     }
     if not rank.rank_criterion_met:
         results["passive"] = passivity_check(sub, tol=args.tol)
+    results["diagnostics"] = _closure_diagnostics(sub)
     report["results"] = results
     _finish(report, started, args.out)
     return 0 if rank.rank_criterion_met else 1
@@ -265,6 +276,7 @@ def cmd_chain(args) -> int:
             "message": rep.triple_message,
         },
         "passive": rep.passive,
+        "diagnostics": _closure_diagnostics(rep.subspace),
     }
     identities_ok = True
     if not unmet and args.identities != "skip":

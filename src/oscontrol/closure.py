@@ -1,21 +1,39 @@
 """Bracket closure of symplectic generators and the Lie algebra rank criterion.
 
-Closure proceeds breadth first: every element of the current basis is
-bracketed with every seed generator, and a candidate enters the basis when
-its component orthogonal to the current span is relatively larger than the
-tolerance. Bracketing against seeds only (rather than all pairs) generates
-the same algebra; the recombination-invariance property test covers this.
+Coordinates. An element G = -A Omega of sp(2n, R) is carried as its
+symmetric matrix A = G Omega. Its coordinate vector holds the n(2n+1)
+upper-triangle entries of A, the off-diagonal ones weighted by sqrt(2), so
+the Euclidean geometry of the vectors is the Frobenius geometry of the
+generators: ||vec A|| = ||A||_F = ||G||_F, and likewise for inner products.
+A full-rank basis is therefore a square matrix.
+
+Brackets. [G_b, G_s] = -C Omega with C = A_s Omega A_b - A_b Omega A_s,
+which equals P + P^T for P = A_s Omega A_b and so is exactly symmetric in
+floating point. One batched product brackets the whole frontier (the basis
+elements added in the previous round) against every seed at once.
+
+Acceptance. Closure proceeds breadth first, one round per bracket depth.
+A round's candidates are normalised and projected off the rows accepted in
+earlier rounds with two BLAS passes (classical Gram-Schmidt with
+reorthogonalisation). They are then tested in (basis index, seed index)
+order: a candidate enters the basis when its residual, after also removing
+the rows accepted earlier in the same round, is larger than the relative
+tolerance. The basis keeps the normalised raw brackets, and those are what
+the next round brackets. Bracketing against seeds only (rather than all
+pairs) generates the same algebra; the recombination-invariance property
+test covers this.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .hamiltonians import SymplecticGenerator
-from .symplectic import commutator, symplectic_form
+from .symplectic import symplectic_form
 
 __all__ = [
     "LieSubspace",
@@ -34,6 +52,12 @@ DEFAULT_TOL = 1e-9
 _NEAR_TOL_WINDOW = 1e-2
 _MAX_REJECTED_KEPT = 32
 
+# The computed bracket of A_b and A_s is within 2 (2n) eps ||A_b|| ||A_s|| of
+# the exact one (Omega is a signed permutation, so only the one product
+# rounds). A bracket no larger than twice that bound is rounding noise: its
+# direction carries no information, so it is treated as zero.
+_ZERO_BRACKET_FACTOR = 4.0
+
 
 def full_dimension(n: int) -> int:
     """Dimension n(2n+1) of the full symplectic algebra sp(2n, R)."""
@@ -42,15 +66,23 @@ def full_dimension(n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class LieSubspace:
-    """An orthonormalised basis of the subalgebra generated by a seed set."""
+    """An orthonormalised basis of the subalgebra generated by a seed set.
+
+    ``min_accepted_residual`` is the smallest residual that entered the
+    basis and ``rank_gap`` that residual divided by the largest rejected
+    one, or None when no candidate was rejected with a nonzero residual.
+    A gap near 1 means the dimension hangs on the tolerance.
+    """
 
     n: int
     basis: tuple[SymplecticGenerator, ...]
-    orthonormal_vectors: np.ndarray  # (dimension, (2n)^2), orthonormal rows
+    orthonormal_vectors: np.ndarray  # (dimension, n(2n+1)), orthonormal rows
     closed: bool
     bracket_depth_reached: int
     tol: float
     rejected_residuals: tuple[float, ...] = ()
+    min_accepted_residual: Optional[float] = None
+    rank_gap: Optional[float] = None
 
     @property
     def dimension(self) -> int:
@@ -67,14 +99,32 @@ class RankReport:
     residual_spectrum: tuple[float, ...] = ()
 
 
-def _orthogonal_residual(rows: Sequence[np.ndarray], v: np.ndarray) -> np.ndarray:
-    """Component of v orthogonal to the orthonormal rows (MGS, two passes)."""
-    r = v.copy()
-    for q in rows:
-        r -= (q @ r) * q
-    for q in rows:  # reorthogonalisation guards against cancellation
-        r -= (q @ r) * q
-    return r
+@functools.lru_cache(maxsize=None)
+def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    rows, cols = np.triu_indices(2 * n)
+    return rows, cols, np.where(rows == cols, 1.0, np.sqrt(2.0))
+
+
+def _coordinates(A: np.ndarray) -> np.ndarray:
+    """Coordinate vectors, shape (..., n(2n+1)), of symmetric (..., 2n, 2n) matrices."""
+    rows, cols, weights = _upper_triangle(A.shape[-1] // 2)
+    return A[..., rows, cols] * weights
+
+
+def _hamiltonian_matrix(G: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """The symmetric A = G Omega of a generator, dropping any part outside sp(2n, R)."""
+    A = np.asarray(G, dtype=float) @ omega
+    return 0.5 * (A + A.T)
+
+
+def _project_out(Q: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """V minus its components along the orthonormal rows of Q, in two passes.
+
+    The second pass removes what cancellation left behind in the first.
+    """
+    for _ in range(2):
+        V = V - (V @ Q.T) @ Q
+    return V
 
 
 def closure(
@@ -102,58 +152,73 @@ def closure(
     if max_rounds is None:
         max_rounds = 2 * dim_full
 
-    basis: list[SymplecticGenerator] = []
-    rows: list[np.ndarray] = []
-    rejected: list[float] = []
-
-    def try_add(M: np.ndarray, source: str) -> bool:
-        norm = np.linalg.norm(M)
-        if norm == 0.0:
-            return False
-        v = np.ravel(M / norm)
-        r = _orthogonal_residual(rows, v)
-        res = float(np.linalg.norm(r))
-        if res <= tol:
-            if res >= tol * _NEAR_TOL_WINDOW:
-                rejected.append(res)
-            return False
-        rows.append(r / res)
-        basis.append(SymplecticGenerator(n=n, G=M / norm, source=source))
-        return True
-
-    for i, g in enumerate(seeds):
-        try_add(np.asarray(g.G, dtype=float), g.source or f"seed{i}")
-
-    seed_mats = [np.asarray(g.G, dtype=float) for g in seeds]
+    omega = symplectic_form(n)
+    seed_A = np.array([_hamiltonian_matrix(g.G, omega) for g in seeds])
     seed_names = [g.source or f"seed{i}" for i, g in enumerate(seeds)]
+    k = len(seeds)
 
+    Q = np.zeros((dim_full, dim_full))  # orthonormal rows, one per basis element
+    basis: list[SymplecticGenerator] = []
+    accepted: list[float] = []
+    rejected: list[float] = []
+    largest_rejected = 0.0
+
+    def admit(C: np.ndarray, zero_bound: np.ndarray, name) -> bool:
+        """Test one round's candidates C in order; True if any entered."""
+        nonlocal largest_rejected
+        V = _coordinates(C)
+        norms = np.linalg.norm(V, axis=1)
+        live = np.flatnonzero(norms > zero_bound)
+        start = len(basis)
+        R = _project_out(Q[:start], V[live] / norms[live, None])
+        for i, r in zip(live, R):
+            size = len(basis)
+            if size > start:
+                r = _project_out(Q[start:size], r)
+            res = float(np.linalg.norm(r))
+            if res <= tol:
+                largest_rejected = max(largest_rejected, res)
+                if res >= tol * _NEAR_TOL_WINDOW:
+                    rejected.append(res)
+                continue
+            Q[size] = r / res
+            basis.append(SymplecticGenerator(n=n, G=-(C[i] / norms[i]) @ omega, source=name(i)))
+            accepted.append(res)
+            if size + 1 >= dim_full:
+                break
+        return len(basis) > start
+
+    admit(seed_A, np.zeros(k), lambda i: seed_names[i])
+
+    seed_A_omega = seed_A @ omega
+    seed_norms = np.linalg.norm(seed_A, axis=(1, 2))
+    zero_scale = _ZERO_BRACKET_FACTOR * (2 * n) * np.finfo(float).eps
     closed = len(basis) >= dim_full
     depth = 0
     frontier = 0  # basis elements before this index were bracketed already
     while not closed and depth < max_rounds:
         hi = len(basis)
-        added = False
-        for b_idx in range(frontier, hi):
-            b = basis[b_idx]
-            for s_idx, s in enumerate(seed_mats):
-                cand = commutator(b.G, s)
-                src = f"[{b.source},{seed_names[s_idx]}]"
-                if try_add(cand, src):
-                    added = True
-                if len(basis) >= dim_full:
-                    break
-            if len(basis) >= dim_full:
-                break
+        # A_b = G_b Omega exactly, Omega being a signed permutation
+        B = np.array([b.G for b in basis[frontier:hi]]) @ omega
+        P = seed_A_omega[None] @ B[:, None]  # (b, s) -> A_s Omega A_b
+        C = (P + P.swapaxes(-1, -2)).reshape(-1, 2 * n, 2 * n)
+        zero_bound = zero_scale * np.outer(np.linalg.norm(B, axis=(1, 2)), seed_norms).ravel()
+        added = admit(
+            C, zero_bound,
+            lambda i: f"[{basis[frontier + i // k].source},{seed_names[i % k]}]",
+        )
         frontier = hi
         depth += 1
-        if len(basis) >= dim_full:
-            closed = True  # nothing outside sp(2n, R) can appear
-        elif not added:
-            closed = True
+        # nothing outside sp(2n, R) can appear once the basis is full
+        closed = len(basis) >= dim_full or not added
 
-    rejected.sort(reverse=True)
-    vectors = np.array(rows) if rows else np.zeros((0, (2 * n) ** 2))
+    vectors = Q[:len(basis)].copy()
     vectors.setflags(write=False)
+    rejected.sort(reverse=True)
+    min_accepted = min(accepted) if accepted else None
+    rank_gap = None
+    if min_accepted is not None and largest_rejected > 0.0:
+        rank_gap = min_accepted / largest_rejected
     return LieSubspace(
         n=n,
         basis=tuple(basis),
@@ -162,6 +227,8 @@ def closure(
         bracket_depth_reached=depth,
         tol=tol,
         rejected_residuals=tuple(rejected[:_MAX_REJECTED_KEPT]),
+        min_accepted_residual=min_accepted,
+        rank_gap=rank_gap,
     )
 
 
@@ -180,11 +247,11 @@ def contains(sub: LieSubspace, gen: SymplecticGenerator, tol: float = DEFAULT_TO
     """True iff the generator lies in the span of the subspace, relatively to tol."""
     if gen.n != sub.n:
         raise ValueError(f"mode count mismatch: subspace has {sub.n}, generator has {gen.n}")
-    norm = np.linalg.norm(gen.G)
+    v = _coordinates(_hamiltonian_matrix(gen.G, symplectic_form(sub.n)))
+    norm = np.linalg.norm(v)
     if norm == 0.0:
         return True
-    v = np.ravel(gen.G / norm)
-    res = np.linalg.norm(_orthogonal_residual(list(sub.orthonormal_vectors), v))
+    res = np.linalg.norm(_project_out(sub.orthonormal_vectors, v / norm))
     return bool(res <= tol)
 
 

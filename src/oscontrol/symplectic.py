@@ -7,6 +7,8 @@ copies of the 2x2 rotation generator.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.linalg
 
@@ -27,15 +29,19 @@ def _as_square(M, name: str = "matrix") -> np.ndarray:
     return M
 
 
+@functools.lru_cache(maxsize=None)
 def symplectic_form(n: int) -> np.ndarray:
     """Return the 2n x 2n symplectic form for n bosonic modes.
 
     Block diagonal with n copies of [[0, 1], [-1, 0]]; antisymmetric,
-    orthogonal, and squares to minus the identity.
+    orthogonal, and squares to minus the identity. The array is cached per
+    n and read-only, so callers share it and must not write to it.
     """
     if int(n) != n or n < 1:
         raise ValueError(f"mode count must be a positive integer, got {n!r}")
-    return np.kron(np.eye(int(n)), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    omega = np.kron(np.eye(int(n)), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    omega.setflags(write=False)
+    return omega
 
 
 def audit_symplecticity(S) -> float:

@@ -293,6 +293,33 @@ def test_reports_are_deterministic_modulo_wall_time(capsys):
     assert lines1 == lines2
 
 
+@pytest.mark.parametrize("n", [8, 10])
+def test_chain_passive_regime_reaches_n_squared(capsys, n):
+    # a bracket that is exactly zero is rounding noise in floating point; at
+    # n = 10 it was once normalised into the basis and the command exited 2
+    code, out, _ = run_cli(
+        capsys, "chain", "--n", str(n), "--g1", "0.2", "--g2", "0", "--h1-only"
+    )
+    res = report_of(out)["results"]
+    assert code == 1
+    assert res["verdict"] == "NOT_ESTABLISHED"
+    assert res["dimension"] == n * n
+    assert res["passive"] is True
+
+
+def test_closure_margins_in_chain_and_rank_reports(capsys):
+    code, out, _ = run_cli(capsys, "chain", "--n", "3")
+    assert code == 0
+    chain_margins = report_of(out)["results"]["diagnostics"]["closure"]
+    code, out, _ = run_cli(capsys, "rank", "--model", str(MODELS / "chain_n3.json"))
+    assert code == 0
+    rank_margins = report_of(out)["results"]["diagnostics"]["closure"]
+    for margins in (chain_margins, rank_margins):
+        assert set(margins) == {"min_accepted_residual", "rank_gap"}
+        assert 1e-9 < margins["min_accepted_residual"] <= 1.0
+        assert margins["rank_gap"] > 1.0
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli(

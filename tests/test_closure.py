@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oscontrol import (
     ChainSpec,
+    SymplecticGenerator,
     build_chain,
     closure,
     contains,
@@ -18,7 +19,9 @@ from oscontrol import (
     squeeze,
     symplectic_form,
 )
-from oracles import brute_force_closure_rank, gram_rank
+from oracles import brute_force_closure_rank, brute_force_closure_rank_mod_p, gram_rank
+
+G_GRID = (0.05, 0.1, 0.15, 0.2)
 
 
 def _chain_seeds(n, g1, g2, omega=1.0, omega1=1.0, chi=1.0):
@@ -114,6 +117,15 @@ def test_passive_restriction_contains_distant_beam_splitter():
     assert contains(sub, bs_13, tol=1e-9)
 
 
+@pytest.mark.parametrize("n", range(3, 11))
+def test_passive_chain_reaches_n_squared(n):
+    # rotation control only with g2 = 0: the whole passive algebra u(n)
+    model = build_chain(ChainSpec(n=n, g1=0.2, g2=0.0))
+    sub = closure([generator(model.drift), generator(model.controls[0])])
+    assert sub.dimension == n * n
+    assert passivity_check(sub, tol=1e-9)
+
+
 def test_passivity_check_examples():
     rotations = [generator(from_terms(2, [number(j, 1.0)])) for j in (1, 2)]
     assert passivity_check(closure(rotations))
@@ -157,8 +169,6 @@ def test_closure_invariant_under_seed_recombination(seed, n):
         W = rng.uniform(-1.0, 1.0, size=(3, 3))
         if abs(np.linalg.det(W)) > 0.1:  # keep the recombination well conditioned
             break
-    from oscontrol import SymplecticGenerator
-
     mixed = [
         SymplecticGenerator(n, sum(W[i, j] * seeds[j].G for j in range(3)), source=f"mix{i}")
         for i in range(3)
@@ -197,3 +207,62 @@ def test_closure_is_deterministic():
     assert np.array_equal(a.orthonormal_vectors, b.orthonormal_vectors)
     for x, y in zip(a.basis, b.basis):
         assert np.array_equal(x.G, y.G)
+
+
+@pytest.mark.parametrize("g", G_GRID)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_closure_dimension_matches_exact_modular_oracle(n, g):
+    # every g on the grid is k/20, so 20 G is an integer matrix spanning the
+    # same line; the float oracle at its default rtol finds 35 at n = 4,
+    # g = 0.05, where the exact count is 36
+    seeds = _chain_seeds(n, g, g)
+    integer_seeds = [np.rint(20.0 * s.G) for s in seeds]
+    for s, M in zip(seeds, integer_seeds):
+        assert np.allclose(20.0 * s.G, M, rtol=0.0, atol=1e-12)
+    exact = brute_force_closure_rank_mod_p(integer_seeds)
+    assert closure(seeds).dimension == exact == full_dimension(n)
+
+
+@pytest.mark.parametrize("g", G_GRID)
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_single_seed_closes_at_dimension_one(n, g):
+    # [H0 / ||H0||, H0] is zero; in floating point it is rounding noise, which
+    # must not be normalised into a basis direction (it once gave 5 at n = 3)
+    drift = _chain_seeds(n, g, g)[0]
+    sub = closure([drift])
+    assert sub.dimension == 1
+    assert sub.closed
+    assert sub.rank_gap is None
+
+
+@pytest.mark.parametrize("n,g", [(2, 0.2), (4, 0.05), (6, 0.2)])
+def test_basis_elements_are_in_sp_and_contained(n, g):
+    sub = closure(_chain_seeds(n, g, g))
+    omega = symplectic_form(n)
+    assert sub.orthonormal_vectors.shape == (sub.dimension, n * (2 * n + 1))
+    for b in sub.basis:
+        GOm = b.G @ omega
+        assert np.linalg.norm(GOm - GOm.T) <= 1e-12
+        assert contains(sub, b)
+
+
+def test_contains_uses_frobenius_geometry():
+    # the off-diagonal coordinates carry sqrt(2): a generator at relative
+    # distance d from the span has residual d, whatever entries it touches
+    rot = generator(from_terms(2, [number(1, 1.0)]))
+    sub = closure([rot])
+    off = generator(from_terms(2, [hop(1, 2, 1e-8)]))
+    mixed = SymplecticGenerator(2, rot.G + off.G)
+    rel = np.linalg.norm(off.G) / np.linalg.norm(mixed.G)
+    assert not contains(sub, mixed, tol=0.99 * rel)
+    assert contains(sub, mixed, tol=1.01 * rel)
+
+
+def test_closure_margins_recorded():
+    sub = closure(_chain_seeds(3, 0.2, 0.2))
+    assert sub.min_accepted_residual is not None
+    assert sub.tol < sub.min_accepted_residual <= 1.0
+    assert sub.rank_gap is not None and sub.rank_gap > 1.0
+    # a rejected candidate sits at or below tol, so the gap is at least
+    # min_accepted / tol
+    assert sub.rank_gap >= sub.min_accepted_residual / sub.tol

@@ -32,6 +32,15 @@ def test_form_antisymmetric_squares_to_minus_identity():
         assert np.allclose(omega @ omega.T, np.eye(2 * n), atol=0)
 
 
+def test_form_is_cached_and_read_only():
+    omega = symplectic_form(3)
+    assert symplectic_form(3) is omega
+    assert not omega.flags.writeable
+    with pytest.raises(ValueError):
+        omega[0, 1] = 2.0
+    assert np.array_equal(omega, omega_from_formula(3))
+
+
 @pytest.mark.parametrize("bad", [0, -2, 1.5])
 def test_form_rejects_bad_mode_count(bad):
     with pytest.raises(ValueError):
