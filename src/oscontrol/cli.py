@@ -12,6 +12,7 @@ the effective tolerances echoed, and follows one exit-code contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -294,7 +295,13 @@ def cmd_chain(args) -> int:
     return 0 if rep.verdict == "CONTROLLABLE" and identities_ok else 1
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    ``parse_args`` leaves the parser unchanged and gives each call a fresh
+    namespace, so one cached parser serves every ``main`` call.
+    """
     parser = argparse.ArgumentParser(
         prog="oscontrol",
         description="Controllability analysis for coupled harmonic oscillators",

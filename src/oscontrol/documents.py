@@ -50,8 +50,12 @@ def _get(data: dict, key: str, path: str) -> Any:
     return data[key]
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise _err(path, f"expected a number, got {type(value).__name__}")
     return float(value)
 
@@ -224,6 +228,35 @@ class ModelDocument:
         }
 
 
+def _parse_segment(entry: Any) -> Segment:
+    """A segment from its document entry, building no field path.
+
+    Raises a bare ValueError wherever ``_parse_segment_checked`` raises a
+    diagnostic, so a caller reruns that to name the offending field.
+    """
+    if not isinstance(entry, dict):
+        raise ValueError
+    duration, values = entry.get("duration"), entry.get("controls")
+    if not (_is_number(duration) and isinstance(values, list) and all(map(_is_number, values))):
+        raise ValueError
+    return Segment(duration=float(duration), values=tuple(values))
+
+
+def _parse_segment_checked(entry: Any, path: str) -> Segment:
+    """The same parse, naming the offending field in each diagnostic."""
+    if not isinstance(entry, dict):
+        raise _err(path, "expected an object")
+    duration = _as_number(_get(entry, "duration", path), f"{path}.duration")
+    values = _get(entry, "controls", path)
+    if not isinstance(values, list):
+        raise _err(f"{path}.controls", "expected a list of numbers")
+    vals = tuple(_as_number(v, f"{path}.controls[{j}]") for j, v in enumerate(values))
+    try:
+        return Segment(duration=duration, values=vals)
+    except ValueError as exc:
+        raise _err(path, str(exc)) from exc
+
+
 @dataclass(frozen=True, eq=False)
 class ScheduleDocument:
     """A parsed control schedule, with an optional initial covariance."""
@@ -240,20 +273,10 @@ class ScheduleDocument:
             raise _err("segments", "expected a list")
         segments = []
         for i, entry in enumerate(raw):
-            path = f"segments[{i}]"
-            if not isinstance(entry, dict):
-                raise _err(path, "expected an object")
-            duration = _as_number(_get(entry, "duration", path), f"{path}.duration")
-            values = _get(entry, "controls", path)
-            if not isinstance(values, list):
-                raise _err(f"{path}.controls", "expected a list of numbers")
-            vals = tuple(
-                _as_number(v, f"{path}.controls[{j}]") for j, v in enumerate(values)
-            )
             try:
-                segments.append(Segment(duration=duration, values=vals))
-            except ValueError as exc:
-                raise _err(path, str(exc)) from exc
+                segments.append(_parse_segment(entry))
+            except ValueError:  # parse again, building field paths only now
+                segments.append(_parse_segment_checked(entry, f"segments[{i}]"))
         sigma = None
         if "initial_covariance" in data:
             rows = data["initial_covariance"]

@@ -2,13 +2,17 @@
 
 The evolution equation dS/dt = -A(f, t) Omega S with S(0) = 1 is integrated
 exactly over segments of constant control values: later segments multiply on
-the left, so S = exp(-A_N Omega d_N) ... exp(-A_1 Omega d_1). The same
-machinery drives classical and quantum oscillator networks; covariance
-physicality is therefore an opt-in check, not a constructor requirement.
+the left, so S = exp(-A_N Omega d_N) ... exp(-A_1 Omega d_1). The product is
+formed chunk by chunk: each run of up to 256 segments becomes one stack of
+generators and one stacked Pade exponential (``symplectic.expm``), whose
+factors are then multiplied into S in segment order. The same machinery
+drives classical and quantum oscillator networks; covariance physicality is
+therefore an opt-in check, not a constructor requirement.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -60,10 +64,10 @@ class Segment:
     values: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not (self.duration > 0.0 and np.isfinite(self.duration)):
+        if not (self.duration > 0.0 and math.isfinite(self.duration)):
             raise ValueError(f"segment duration must be positive and finite, got {self.duration}")
         values = tuple(float(v) for v in self.values)
-        if not all(np.isfinite(v) for v in values):
+        if not all(map(math.isfinite, values)):
             raise ValueError("segment control values must be finite")
         object.__setattr__(self, "values", values)
 
@@ -86,25 +90,36 @@ class ControlSchedule:
         return float(sum(s.duration for s in self.segments))
 
 
+_CHUNK = 256  # segments per stacked exponential; bounds the stack at _CHUNK (2n)^2 floats
+
+
 def propagate(model: ControlModel, schedule: ControlSchedule) -> np.ndarray:
     """Integrate the controlled symplectic evolution over a schedule.
 
     Returns S = exp(-A_N Omega d_N) ... exp(-A_1 Omega d_1) with
     A_i = A_drift + sum_k f_{k,i} A_k. An empty schedule gives the identity.
+    Every segment's control count is checked before any exponential. The
+    schedule is then taken in chunks of ``_CHUNK`` segments: each chunk's
+    generators are assembled with one ``tensordot``, exponentiated by one
+    stacked ``expm`` call, and multiplied into S on the left in segment order.
     """
-    for i, seg in enumerate(schedule.segments):
+    segments = schedule.segments
+    for i, seg in enumerate(segments):
         if len(seg.values) != model.num_controls:
             raise ValueError(
                 f"segment {i} supplies {len(seg.values)} control values, "
                 f"model has {model.num_controls} controls"
             )
+    dim = 2 * model.n
     omega = symplectic_form(model.n)
-    S = np.eye(2 * model.n)
-    for seg in schedule.segments:
-        A = np.array(model.drift.A)
-        for f, ctrl in zip(seg.values, model.controls):
-            A += f * ctrl.A
-        S = expm(-A @ omega, seg.duration) @ S
+    controls = np.array([c.A for c in model.controls]).reshape(model.num_controls, dim, dim)
+    S = np.eye(dim)
+    for lo in range(0, len(segments), _CHUNK):
+        chunk = segments[lo:lo + _CHUNK]
+        f = np.array([seg.values for seg in chunk])
+        A = model.drift.A + np.tensordot(f, controls, axes=1)
+        for E in expm(-A @ omega, np.array([seg.duration for seg in chunk])):
+            S = E @ S
     return S
 
 

@@ -1,14 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oscontrol import expm, symplectic_form
-from oscontrol.cli import main
+from oscontrol.cli import _build_parser, main
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *args):
@@ -340,3 +344,69 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
+
+
+def _without_wall_time(out):
+    return [line for line in out.splitlines() if "wall_time_s" not in line]
+
+
+def test_cached_parser_leaks_nothing_between_calls(capsys):
+    # one process, one parser: each report must equal the report of the same
+    # argv parsed by a freshly built parser
+    argvs = [
+        ["chain", "--n", "3", "--h1-only"],
+        ["chain", "--n", "3"],
+        ["chain", "--n", "3", "--g2", "0.1", "--identities", "skip"],
+        ["rank", "--model", str(MODELS / "chain_n3.json"), "--tol", "1e-8"],
+        ["chain", "--n", "3"],
+        ["rank", "--model", str(MODELS / "chain_n3.json")],
+    ]
+    in_sequence = [run_cli(capsys, *argv) for argv in argvs]
+    assert _build_parser() is _build_parser()
+    for argv, (code, out, err) in zip(argvs, in_sequence):
+        _build_parser.cache_clear()
+        alone_code, alone_out, alone_err = run_cli(capsys, *argv)
+        assert (code, err) == (alone_code, alone_err)
+        assert _without_wall_time(out) == _without_wall_time(alone_out)
+    assert report_of(in_sequence[0][1])["inputs"]["h1_only"] is True
+    assert report_of(in_sequence[1][1])["inputs"]["h1_only"] is False
+    assert report_of(in_sequence[4][1])["tolerances"]["closure_tol"] == 1e-9
+    assert report_of(in_sequence[5][1])["tolerances"]["tol"] == 1e-9
+
+
+def test_evolve_reports_deterministic_across_calls_and_blas_threads(capsys, tmp_path):
+    # 600 segments span three stacked-exponential chunks
+    rng = np.random.default_rng(41)
+    f1 = rng.uniform(0.0, 1.0, 600)
+    segments = [
+        {"duration": d, "controls": [a, b]}
+        for d, a, b in zip(
+            rng.uniform(0.05, 0.5, 600).tolist(),
+            f1.tolist(),
+            (rng.uniform(-0.4, 0.4, 600) * f1).tolist(),
+        )
+    ]
+    X = rng.normal(size=(6, 6))
+    sigma = 0.5 * np.eye(6) + X @ X.T / 12
+    schedule = tmp_path / "long.json"
+    schedule.write_text(json.dumps({"segments": segments, "initial_covariance": sigma.tolist()}))
+    argv = ["evolve", "--model", str(MODELS / "chain_n3.json"), "--schedule", str(schedule)]
+
+    outs = []
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        outs.append(out)
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "oscontrol.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert "final_covariance" in report_of(outs[0])["results"]
+    assert report_of(outs[0])["inputs"]["segments"] == 600
+    for out in outs[1:]:
+        assert _without_wall_time(out) == _without_wall_time(outs[0])

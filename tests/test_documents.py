@@ -184,3 +184,30 @@ def test_data_digest_is_stable():
     b = data_digest({"n": 3, "omega": 1.0})
     assert a == b and a.startswith("sha256:")
     assert data_digest({"n": 4, "omega": 1.0}) != a
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"duration": 1.0, "controls": [0.5, True]},
+         "segments[4999].controls[1]: expected a number, got bool"),
+        ([1.0], "segments[4999]: expected an object"),
+        ({"controls": [0.5, 0.5]}, "segments[4999]: missing required field 'duration'"),
+        ({"duration": "1", "controls": [0.5, 0.5]},
+         "segments[4999].duration: expected a number, got str"),
+        ({"duration": 1.0}, "segments[4999]: missing required field 'controls'"),
+        ({"duration": 1.0, "controls": 0.5},
+         "segments[4999].controls: expected a list of numbers"),
+        ({"duration": 0.0, "controls": [0.5, 0.5]},
+         "segments[4999]: segment duration must be positive and finite, got 0.0"),
+        ({"duration": 1.0, "controls": [0.5, float("nan")]},
+         "segments[4999]: segment control values must be finite"),
+    ],
+)
+def test_schedule_error_in_last_of_5000_segments_names_its_field(entry, message):
+    # field paths are built only once a segment fails; the message must
+    # still name the offending field, deep into a long schedule
+    segments = [{"duration": 0.1, "controls": [0.5, -0.5]} for _ in range(4999)]
+    with pytest.raises(DocumentError) as info:
+        ScheduleDocument.from_document({"segments": segments + [entry]})
+    assert str(info.value) == message

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from oscontrol import (
+    ChainSpec,
     ControlModel,
     ControlSchedule,
     CovarianceState,
     QuadraticHamiltonian,
     Segment,
     audit_symplecticity,
+    build_chain,
     evolve_covariance,
     expm,
     from_terms,
@@ -222,3 +224,59 @@ def test_covariance_state_validation_and_physicality():
         CovarianceState(0.1 * np.eye(2), check_physical=True)  # below vacuum noise
     # classical carrier: the same matrix passes without the opt-in check
     CovarianceState(0.1 * np.eye(2))
+
+
+def _chain_model_and_schedule(seed, segments):
+    # every segment's Hamiltonian is positive definite (f1 in [0, 1],
+    # |f2| <= 0.4 f1), so S stays moderate over hundreds of segments
+    rng = np.random.default_rng(seed)
+    model = build_chain(ChainSpec(n=3, g1=0.1, g2=0.1))
+    f1 = rng.uniform(0.0, 1.0, segments)
+    values = np.stack([f1, rng.uniform(-0.4, 0.4, segments) * f1], axis=1)
+    schedule = ControlSchedule.from_pairs(
+        zip(rng.uniform(0.05, 0.5, segments).tolist(), values.tolist())
+    )
+    return model, schedule
+
+
+def _segment_by_segment(model, schedule):
+    """The ordered product of single-matrix exponentials, one per segment."""
+    omega = symplectic_form(model.n)
+    S = np.eye(2 * model.n)
+    for seg in schedule.segments:
+        A = np.array(model.drift.A)
+        for f, ctrl in zip(seg.values, model.controls):
+            A += f * ctrl.A
+        S = expm(-A @ omega, seg.duration) @ S
+    return S
+
+
+@pytest.mark.parametrize("segments", [1, 256, 257, 3 * 256 + 5])
+def test_chunked_propagate_matches_segment_by_segment_product(segments):
+    model, schedule = _chain_model_and_schedule(segments, segments)
+    S = propagate(model, schedule)
+    reference = _segment_by_segment(model, schedule)
+    assert np.linalg.norm(S - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("split", [100, 256, 512, 700])
+def test_concatenation_convention_across_chunks(split):
+    # splits inside a chunk (100, 700) and on chunk boundaries (256, 512)
+    model, schedule = _chain_model_and_schedule(21, 3 * 256 + 5)
+    first = ControlSchedule(schedule.segments[:split])
+    second = ControlSchedule(schedule.segments[split:])
+    S = propagate(model, schedule)
+    S_cat = propagate(model, second) @ propagate(model, first)
+    assert np.linalg.norm(S - S_cat) <= 1e-12 * np.linalg.norm(S)
+
+
+def test_control_count_mismatch_in_long_schedule_raises_before_expm(monkeypatch):
+    model, schedule = _chain_model_and_schedule(22, 599)
+    schedule = ControlSchedule(schedule.segments + (Segment(0.1, (0.5,)),))
+
+    def no_expm(*args):
+        raise AssertionError("expm called before the control counts were checked")
+
+    monkeypatch.setattr("oscontrol.evolution.expm", no_expm)
+    with pytest.raises(ValueError, match="segment 599 supplies 1 control values"):
+        propagate(model, schedule)
