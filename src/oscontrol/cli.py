@@ -172,6 +172,9 @@ def cmd_recur(args) -> int:
             max_time=args.t_max,
             grid_points_per_period=args.grid_points,
         )
+    except ValueError as exc:
+        raise DocumentError(f"recurrence query: {exc}") from exc
+    try:
         result = find_recurrence(query)
     except DefinitenessError as exc:
         report["results"]["error"] = {
@@ -181,8 +184,6 @@ def cmd_recur(args) -> int:
         }
         _finish(report, started, args.out)
         return 1
-    except ValueError as exc:
-        raise DocumentError(f"recurrence query: {exc}") from exc
     report["results"] = {
         "found": result.found,
         "tau": result.tau,
@@ -369,13 +370,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # DocumentError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

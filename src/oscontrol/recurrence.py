@@ -1,16 +1,18 @@
 """Dynamical-recurrence certificates for propagators exp(-A Omega t).
 
-For positive-definite A the propagator is quasi-periodic: writing
-A Omega = W D' W^{-1} with purely imaginary D', the distance to the identity
-obeys
+For positive-definite A the propagator is quasi-periodic: the Williamson
+normal form A = V D V^T gives exp(-A Omega t) = V R(nu t) V^{-1} with R the
+block rotation by the symplectic eigenvalues nu, and the distance to the
+identity obeys
 
     ||exp(-A Omega t) - 1||_F  <=  K * mode_distance(nu, t),
 
-where K = ||W||_F ||W^{-1}||_F is constant in time and mode_distance is the
-cheap n-cosine bound sqrt(sum_k 8 sin^2(nu_k t / 2)). The recurrence search
-exploits that chain of inequalities: scan mode_distance on a grid, refine
-local minima, and evaluate the true propagator distance only on candidates
-whose refined bound already guarantees success.
+where K = ||V||_F^2 is constant in time and mode_distance is the cheap
+n-cosine bound sqrt(sum_k 8 sin^2(nu_k t / 2)). One normal form supplies both
+nu and K. The recurrence search exploits that inequality: scan mode_distance
+on a grid and refine its local minima; a refined minimum with
+K * mode_distance <= epsilon is certified by the bound, and one evaluation
+of the true propagator distance confirms it.
 
 The search is existence-driven, not optimal: horizon exhaustion is an honest
 ``found=False``, never an exception.
@@ -26,7 +28,7 @@ import numpy as np
 
 from .hamiltonians import QuadraticHamiltonian
 from .symplectic import expm, identity_distance, symplectic_form
-from .williamson import _coerce_symmetric, symplectic_eigenvalues, williamson_decompose
+from .williamson import _coerce_symmetric, williamson_decompose
 
 __all__ = [
     "RecurrenceQuery",
@@ -61,25 +63,15 @@ def mode_distance(nu, t):
     return d.reshape(t_arr.shape)
 
 
-# per-block unitary pairing diagonalising each [[0, nu], [-nu, 0]] block of
-# D Omega into diag(+i nu, -i nu)
-_PAIRING_BLOCK = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / math.sqrt(2.0)
-
-
 def conditioning_bound(H) -> float:
-    """The constant K = ||W||_F ||W^{-1}||_F for the diagonaliser W = V U.
+    """The constant K = ||V||_F^2 for the Williamson basis V of A.
 
-    V is the Williamson basis of A and U the fixed unitary pairing of the
-    normal-mode blocks. K >= 2n always, with equality when W can be taken
-    unitary (for instance A = identity).
+    K equals ||W||_F ||W^{-1}||_F for the diagonaliser W = V U of A Omega,
+    where U pairs each normal-mode block into +/- i nu: U is unitary, and
+    V^{-1} = -Omega V^T Omega has the norm of V. K >= 2n always, with equality when V is orthogonal (for instance
+    A = identity).
     """
-    dec = williamson_decompose(H)
-    U = np.kron(np.eye(dec.n), _PAIRING_BLOCK)
-    omega = symplectic_form(dec.n)
-    V_inv = -omega @ dec.V.T @ omega  # symplectic inverse
-    W = dec.V @ U
-    W_inv = U.conj().T @ V_inv
-    return float(np.linalg.norm(W) * np.linalg.norm(W_inv))
+    return float(np.linalg.norm(williamson_decompose(H).V) ** 2)
 
 
 @dataclass(frozen=True)
@@ -113,7 +105,7 @@ class RecurrenceResult:
     tau: Optional[float]
     achieved_distance: Optional[float]
     mode_distance_at_tau: Optional[float]
-    conditioning: float  # K = ||W||_F ||W^{-1}||_F
+    conditioning: float  # K = ||V||_F^2
     best_distance_seen: float
 
 
@@ -123,7 +115,7 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 def _refine(fun, lo: float, hi: float, xatol: float = 1e-12) -> tuple[float, float]:
     """Golden-section minimisation with a width target in absolute time.
 
-    The distance functions are V-shaped at a recurrence, so function values
+    The mode distance is V-shaped at a recurrence, so function values
     stay informative arbitrarily close to the minimiser; a library bounded
     minimiser with a relative sqrt(eps)*|x| floor would stall three decades
     too early for the distances this search must certify. The target is
@@ -153,15 +145,20 @@ def _refine(fun, lo: float, hi: float, xatol: float = 1e-12) -> tuple[float, flo
 def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
     """Locate a recurrence time tau > min_time with distance below epsilon.
 
-    Two-stage filter: mode_distance is scanned on a uniform grid with spacing
-    (2 pi / nu_max) / grid_points_per_period, each local minimum is refined,
-    and minima with refined bound below epsilon / K trigger a local
-    minimisation of the true propagator distance. The first candidate whose
-    re-evaluated distance beats epsilon is returned.
+    mode_distance is scanned on a uniform grid with spacing
+    (2 pi / nu_max) / grid_points_per_period and each local minimum is
+    refined. A refined minimum t* with bound K * d* <= epsilon is an
+    epsilon-recurrence by the bound; one evaluation of the true propagator
+    distance at t* confirms it, and the first confirmed t* is returned as
+    tau with mode_distance_at_tau = d*. Without a confirmed candidate the
+    result is negative, and best_distance_seen is the smallest true distance
+    evaluated (one evaluation at the refined best grid minimum when no
+    candidate passed the bound).
     """
     H = query.hamiltonian
-    nu = symplectic_eigenvalues(H)  # raises DefinitenessError when A is not > 0
-    K = conditioning_bound(H)
+    dec = williamson_decompose(H)  # raises DefinitenessError when A is not > 0
+    nu = dec.nu
+    K = float(np.linalg.norm(dec.V) ** 2)
     G = -np.asarray(H.A) @ symplectic_form(H.n)
 
     h = (2.0 * math.pi / float(nu[-1])) / query.grid_points_per_period
@@ -189,17 +186,17 @@ def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
     def consider(t_center: float) -> Optional[RecurrenceResult]:
         nonlocal best_true
         t_star, d_star = _refine(mode_at, max(t_center - h, query.min_time), t_center + h)
-        if d_star <= threshold:
-            tau, dist = _refine(true_distance, max(t_star - h, query.min_time), t_star + h)
+        if d_star <= threshold and t_star > query.min_time:
+            dist = true_distance(t_star)
             best_true = min(best_true, dist)
-            if dist < query.epsilon and tau > query.min_time:
+            if dist < query.epsilon:
                 return RecurrenceResult(
                     found=True,
-                    tau=tau,
+                    tau=t_star,
                     achieved_distance=dist,
-                    mode_distance_at_tau=mode_at(tau),
+                    mode_distance_at_tau=d_star,
                     conditioning=K,
-                    best_distance_seen=min(best_true, dist),
+                    best_distance_seen=best_true,
                 )
         return None
 
@@ -232,13 +229,11 @@ def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
             j = j_hi + 1
 
     if not math.isfinite(best_true) and best_grid is not None:
-        # report an honest true distance near the best bound seen
+        # report an honest true distance at the best bound seen
         t_star, _ = _refine(
             mode_at, max(best_grid[0] - h, query.min_time), best_grid[0] + h
         )
-        _, best_true = _refine(
-            true_distance, max(t_star - h, query.min_time), t_star + h
-        )
+        best_true = true_distance(t_star)
     return RecurrenceResult(
         found=False,
         tau=None,

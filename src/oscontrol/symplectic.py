@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "symplectic_form",
@@ -82,31 +81,25 @@ _THETA13 = 5.371920351148152  # largest 1-norm the degree-13 approximant serves 
 def expm(G, t=1.0) -> np.ndarray:
     """Matrix exponential ``exp(G t)`` of one generator or of a stack.
 
-    * ``G`` of shape (m, m) with a scalar ``t``: one exponential through
-      ``scipy.linalg.expm``.
-    * ``G`` of shape (k, m, m) with ``t`` of shape (k,): the stack
-      ``exp(G_i t_i)``, computed by scaling and squaring with the degree-13
-      Pade approximant in batched numpy (Higham, SIAM J. Matrix Anal. Appl.
-      26 (2005) 1179; Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31 (2009)
-      970). Each slice is scaled by its own power of two,
-      ``s_i = max(0, ceil(log2(||G_i t_i||_1 / theta_13)))`` with
-      ``theta_13 = 5.3719...``; the approximant ``(V - U)^{-1} (V + U)`` is
-      solved for the whole stack at once, and each slice is squared
-      ``s_i`` times.
+    ``G`` of shape (k, m, m) with ``t`` of shape (k,) gives the stack
+    ``exp(G_i t_i)``; ``G`` of shape (m, m) with a scalar ``t`` runs as a
+    stack of one. One kernel serves both: scaling and squaring with the
+    degree-13 Pade approximant in batched numpy (Higham, SIAM J. Matrix Anal.
+    Appl. 26 (2005) 1179; Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31
+    (2009) 970). Each slice is scaled by its own power of two,
+    ``s_i = max(0, ceil(log2(||G_i t_i||_1 / theta_13)))`` with
+    ``theta_13 = 5.3719...``; the approximant ``(V - U)^{-1} (V + U)`` is
+    solved for the whole stack at once, and each slice is squared ``s_i``
+    times.
 
     Every entry of ``G`` and ``t`` must be finite. Accuracy is pinned by the
-    group property exp(G(t1+t2)) = exp(G t1) exp(G t2) and, for stacks, by a
-    slice-by-slice comparison with the single-matrix path in the test suite.
+    group property exp(G(t1+t2)) = exp(G t1) exp(G t2), and by slice-by-slice
+    comparisons with SciPy's exponential and with closed forms in the tests.
     """
     G = np.asarray(G, dtype=float)
     if G.ndim == 3 and G.shape[1] == G.shape[2]:
         return _expm_stack(G, t)
-    G = _as_square(G, "G")
-    if not np.all(np.isfinite(G)):
-        raise ValueError("generator has non-finite entries")
-    if not np.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
-    return scipy.linalg.expm(G * t)
+    return _expm_stack(_as_square(G, "G")[None], np.reshape(t, 1))[0]
 
 
 def _expm_stack(G: np.ndarray, t) -> np.ndarray:

@@ -66,9 +66,8 @@ def _coerce_symmetric(H) -> np.ndarray:
     return QuadraticHamiltonian(A.shape[0] // 2, A).A
 
 
-def _require_positive_definite(A: np.ndarray, tol: float = DEFAULT_DEFINITENESS_TOL) -> np.ndarray:
-    """Return eigvalsh(A) after checking min eigenvalue > tol * ||A||_2."""
-    w = np.linalg.eigvalsh(A)
+def _require_positive_definite(w: np.ndarray, tol: float = DEFAULT_DEFINITENESS_TOL) -> None:
+    """Check that the ascending spectrum w of A has w[0] > tol * ||A||_2."""
     scale = max(abs(w[0]), abs(w[-1]))
     if scale == 0.0 or w[0] <= tol * scale:
         raise DefinitenessError(
@@ -76,7 +75,6 @@ def _require_positive_definite(A: np.ndarray, tol: float = DEFAULT_DEFINITENESS_
             f"(threshold {tol:.1e} * ||A||_2 = {tol * scale:.6e})",
             smallest_eigenvalue=w[0],
         )
-    return w
 
 
 def symplectic_eigenvalues(H, tol: float = DEFAULT_DEFINITENESS_TOL) -> np.ndarray:
@@ -87,7 +85,7 @@ def symplectic_eigenvalues(H, tol: float = DEFAULT_DEFINITENESS_TOL) -> np.ndarr
     :func:`williamson_decompose` and cross-checks it in the tests.
     """
     A = _coerce_symmetric(H)
-    _require_positive_definite(A, tol)
+    _require_positive_definite(np.linalg.eigvalsh(A), tol)
     n = A.shape[0] // 2
     ev = np.linalg.eigvals(A @ symplectic_form(n))
     nu = np.sort(ev.imag[ev.imag > 0.0])
@@ -128,12 +126,13 @@ def williamson_decompose(H, tol: float = DEFAULT_RESIDUAL_TOL) -> WilliamsonDeco
         up to symplectic-orthogonal freedom when eigenvalues are degenerate.
     """
     A = _coerce_symmetric(H)
-    w = _require_positive_definite(A)
     n = A.shape[0] // 2
     omega = symplectic_form(n)
 
-    # symmetric square root through the eigendecomposition of A
+    # symmetric square root through the eigendecomposition of A, whose
+    # spectrum also decides definiteness
     lam, Q = np.linalg.eigh(A)
+    _require_positive_definite(lam)
     root = (Q * np.sqrt(lam)) @ Q.T
 
     M = root @ omega @ root
@@ -147,8 +146,8 @@ def williamson_decompose(H, tol: float = DEFAULT_RESIDUAL_TOL) -> WilliamsonDeco
         if i + 1 >= 2 * n or T[i + 1, i] == 0.0:
             raise DefinitenessError(
                 "Schur form of A^(1/2) Omega A^(1/2) has a 1x1 block; "
-                f"input is numerically singular (smallest eigenvalue {w[0]:.6e})",
-                smallest_eigenvalue=w[0],
+                f"input is numerically singular (smallest eigenvalue {lam[0]:.6e})",
+                smallest_eigenvalue=lam[0],
             )
         mu = 0.5 * (T[i, i + 1] - T[i + 1, i])
         if mu < 0.0:

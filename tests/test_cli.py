@@ -7,8 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from oscontrol import expm, symplectic_form
+from oscontrol import symplectic_form
 from oscontrol.cli import _build_parser, main
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -165,6 +166,27 @@ def test_recur_free_particle_exit_one(capsys):
     assert report["results"]["error"]["kind"] == "definiteness"
 
 
+def test_recur_invalid_query_is_a_document_error(capsys):
+    code, _, err = run_cli(
+        capsys, "recur", "--model", str(MODELS / "incommensurate_pair.json"), "--epsilon", "0"
+    )
+    assert code == 2
+    assert "recurrence query:" in err
+
+
+def test_recur_numerical_failure_keeps_its_own_message(capsys, monkeypatch):
+    def boom(query):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("oscontrol.cli.find_recurrence", boom)
+    code, _, err = run_cli(
+        capsys, "recur", "--model", str(MODELS / "incommensurate_pair.json"), "--epsilon", "0.5"
+    )
+    assert code == 2
+    assert "boom" in err
+    assert "recurrence query:" not in err
+
+
 def test_evolve_empty_schedule_gives_identity(capsys, tmp_path):
     schedule = tmp_path / "empty.json"
     schedule.write_text(json.dumps({"segments": []}))
@@ -185,7 +207,7 @@ def test_evolve_drift_only_matches_expm(capsys, tmp_path):
     )
     report = report_of(out)
     assert code == 0
-    expected = expm(-np.eye(2) @ symplectic_form(1), 0.8)
+    expected = scipy.linalg.expm(-np.eye(2) @ symplectic_form(1) * 0.8)
     assert np.allclose(np.array(report["results"]["S"]), expected, atol=1e-12)
 
 

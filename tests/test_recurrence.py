@@ -1,10 +1,13 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from oscontrol import (
     DefinitenessError,
+    ModelDocument,
     QuadraticHamiltonian,
     RecurrenceQuery,
     conditioning_bound,
@@ -16,10 +19,13 @@ from oscontrol import (
     non_recurrence_witness,
     symplectic_eigenvalues,
     symplectic_form,
+    williamson_decompose,
 )
 from oracles import random_positive_definite
 
 TWO_PI = 2.0 * math.pi
+MODELS = Path(__file__).resolve().parent.parent / "models"
+GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 def test_mode_distance_exact_period():
@@ -71,6 +77,22 @@ def test_conditioning_bound_explicit_two_by_two():
     assert K == pytest.approx(expected, abs=1e-12)
 
 
+def _pairing_route_bound(H) -> float:
+    """||W||_F ||W^{-1}||_F for W = V U, U pairing each block into +/- i nu."""
+    V = williamson_decompose(H).V
+    pairing = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / math.sqrt(2.0)
+    W = V @ np.kron(np.eye(H.n), pairing)
+    return float(np.linalg.norm(W) * np.linalg.norm(np.linalg.inv(W)))
+
+
+def test_conditioning_bound_matches_pairing_route():
+    rng = np.random.default_rng(41)
+    for i in range(20):
+        n = 1 + i % 4
+        H = QuadraticHamiltonian(n, random_positive_definite(rng, n, cond=100.0))
+        assert conditioning_bound(H) == pytest.approx(_pairing_route_bound(H), rel=1e-12)
+
+
 def test_conditioning_bound_floor_under_congruence_scaling():
     rng = np.random.default_rng(17)
     for _ in range(10):
@@ -96,7 +118,7 @@ def test_find_recurrence_incommensurate_within_horizon():
     assert result.tau > 10.0
     assert result.achieved_distance < 0.5
     # post-hoc audit: never trust the search
-    S = expm(-A @ symplectic_form(2), result.tau)
+    S = scipy.linalg.expm(-A @ symplectic_form(2) * result.tau)
     assert is_symplectic(S, 1e-9)
     assert identity_distance(S) == pytest.approx(result.achieved_distance, abs=1e-10)
     # the proof-chain inequality at the found time
@@ -198,7 +220,7 @@ def test_find_recurrence_terminates_at_large_times():
 
 def test_find_recurrence_reports_honest_negative():
     # badly approximable pair at a tight epsilon with a short horizon
-    A = np.diag([1.0, 1.0, (1.0 + math.sqrt(5.0)) / 2.0, (1.0 + math.sqrt(5.0)) / 2.0])
+    A = np.diag([1.0, 1.0, GOLDEN, GOLDEN])
     H = QuadraticHamiltonian(2, A)
     result = find_recurrence(
         RecurrenceQuery(hamiltonian=H, epsilon=1e-6, min_time=1.0, max_time=200.0)
@@ -207,3 +229,44 @@ def test_find_recurrence_reports_honest_negative():
     assert result.tau is None
     assert result.best_distance_seen > 0.0
     assert math.isfinite(result.best_distance_seen)
+
+
+def _count_expm(monkeypatch) -> list:
+    calls = []
+
+    def counted(G, t=1.0):
+        calls.append(t)
+        return expm(G, t)
+
+    monkeypatch.setattr("oscontrol.recurrence.expm", counted)
+    return calls
+
+
+def test_found_recurrence_costs_one_propagator_evaluation(monkeypatch):
+    doc = ModelDocument.from_path(MODELS / "incommensurate_pair.json")
+    H = doc.hamiltonian(doc.drift)
+    calls = _count_expm(monkeypatch)
+    result = find_recurrence(RecurrenceQuery(hamiltonian=H, epsilon=0.5))
+    assert result.found
+    assert calls == [result.tau]
+
+
+def test_negative_result_costs_one_propagator_evaluation(monkeypatch):
+    H = QuadraticHamiltonian(2, np.diag([1.0, 1.0, GOLDEN, GOLDEN]))
+    calls = _count_expm(monkeypatch)
+    result = find_recurrence(
+        RecurrenceQuery(hamiltonian=H, epsilon=1e-6, min_time=1.0, max_time=200.0)
+    )
+    assert not result.found
+    assert len(calls) == 1
+
+
+def test_achieved_distance_matches_closed_form_at_large_times():
+    # for diagonal A the propagator is the block rotation R(nu t), whose
+    # distance from the identity is exactly mode_distance(nu, t)
+    r2 = math.sqrt(2.0)
+    H = QuadraticHamiltonian(2, np.diag([1.0, 1.0, r2, r2]))
+    result = find_recurrence(RecurrenceQuery(hamiltonian=H, epsilon=0.5, min_time=5e4))
+    assert result.found
+    assert result.tau > 5e4
+    assert result.achieved_distance == pytest.approx(mode_distance([1.0, r2], result.tau), abs=1e-9)
