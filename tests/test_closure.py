@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscontrol import (
@@ -161,6 +161,10 @@ def test_orthonormal_vectors_are_orthonormal():
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3))
+# draws that closed at 19 of 21 when candidates were taken in (basis, seed) order
+@example(seed=151, n=3)
+@example(seed=25630, n=3)
+@example(seed=125576043, n=3)
 def test_closure_invariant_under_seed_recombination(seed, n):
     rng = np.random.default_rng(seed)
     seeds = _chain_seeds(n, 0.2, 0.2)
