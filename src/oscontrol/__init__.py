@@ -22,7 +22,6 @@ from .symplectic import (
 from .hamiltonians import (
     HamiltonianTerm,
     QuadraticHamiltonian,
-    SymplecticGenerator,
     bracket_hamiltonians,
     from_terms,
     generator,
@@ -34,12 +33,10 @@ from .hamiltonians import (
 )
 from .closure import (
     LieSubspace,
-    RankReport,
     closure,
     contains,
     full_dimension,
     passivity_check,
-    rank_criterion,
 )
 from .williamson import (
     DefinitenessError,
@@ -85,12 +82,11 @@ __all__ = [
     "symplectic_form", "is_symplectic", "audit_symplecticity", "commutator", "expm",
     "identity_distance",
     # hamiltonians
-    "QuadraticHamiltonian", "HamiltonianTerm", "SymplecticGenerator",
+    "QuadraticHamiltonian", "HamiltonianTerm",
     "number", "hop", "pair", "squeeze", "generic",
     "from_terms", "generator", "bracket_hamiltonians",
     # closure
-    "LieSubspace", "RankReport", "full_dimension",
-    "closure", "rank_criterion", "contains", "passivity_check",
+    "LieSubspace", "full_dimension", "closure", "contains", "passivity_check",
     # williamson
     "DefinitenessError", "WilliamsonDecomposition", "SpectrumCertificate",
     "symplectic_eigenvalues", "williamson_decompose", "spectrum_certificate",

@@ -18,9 +18,9 @@ from typing import Callable, Mapping, NamedTuple, Optional
 import numpy as np
 
 from . import hamiltonians as ham
-from .closure import LieSubspace, closure, passivity_check, rank_criterion
+from .closure import LieSubspace, closure, full_dimension, passivity_check
 from .evolution import ControlModel
-from .hamiltonians import QuadraticHamiltonian, generator
+from .hamiltonians import QuadraticHamiltonian
 from .symplectic import commutator, symplectic_form
 from .williamson import DefinitenessError
 
@@ -535,9 +535,7 @@ def controllability_report(
     """
     model = build_chain(spec)
     controls = model.controls if include_squeeze_control else model.controls[:1]
-    seeds = [generator(model.drift)] + [generator(c) for c in controls]
-    sub = closure(seeds, tol=tol)
-    rank = rank_criterion(sub)
+    sub = closure([model.drift, *controls], tol=tol)
     drift_eigenvalues = np.linalg.eigvalsh(model.drift.A)
     positivity = _positivity(spec, drift_eigenvalues)
 
@@ -558,12 +556,12 @@ def controllability_report(
         triple_message = "triple not attempted: squeeze control excluded"
 
     passive: Optional[bool] = None
-    if not rank.rank_criterion_met:
+    if not sub.full_rank:
         passive = passivity_check(sub, tol=tol)
 
-    if rank.rank_criterion_met and triple_ok:
+    if sub.full_rank and triple_ok:
         verdict = VERDICT_CONTROLLABLE
-    elif rank.rank_criterion_met:
+    elif sub.full_rank:
         verdict = VERDICT_RANK_ONLY
     else:
         verdict = VERDICT_NOT_ESTABLISHED
@@ -572,8 +570,8 @@ def controllability_report(
         spec=spec,
         triple_params=params,
         dimension=sub.dimension,
-        dimension_full=rank.dimension_full,
-        rank_met=rank.rank_criterion_met,
+        dimension_full=full_dimension(spec.n),
+        rank_met=sub.full_rank,
         closed=sub.closed,
         bracket_depth=sub.bracket_depth_reached,
         positivity=positivity,

@@ -22,7 +22,7 @@ from . import __version__
 from .chain import (
     ChainSpec, TripleParams, controllability_report, identity_suite_unmet, verify_bracket_identities,
 )
-from .closure import closure, full_dimension, passivity_check, rank_criterion
+from .closure import closure, full_dimension, passivity_check
 from .documents import (
     DocumentError,
     ModelDocument,
@@ -32,13 +32,11 @@ from .documents import (
     write_report,
 )
 from .evolution import CovarianceState, evolve_covariance, propagate
-from .hamiltonians import generator
 from .recurrence import RecurrenceQuery, find_recurrence
 from .symplectic import audit_symplecticity
 from .williamson import (
     DefinitenessError,
     spectrum_certificate,
-    symplectic_eigenvalues,
     williamson_decompose,
 )
 
@@ -81,10 +79,9 @@ def cmd_rank(args) -> int:
     started = time.perf_counter()
     model_doc = ModelDocument.from_path(args.model)
     model = model_doc.control_model()
-    seeds = [generator(model.drift)] + [generator(c) for c in model.controls]
-    max_rounds = args.max_rounds if args.max_rounds is not None else 2 * full_dimension(model.n)
-    sub = closure(seeds, tol=args.tol, max_rounds=max_rounds)
-    rank = rank_criterion(sub)
+    dim_full = full_dimension(model.n)
+    max_rounds = args.max_rounds if args.max_rounds is not None else 2 * dim_full
+    sub = closure([model.drift, *model.controls], tol=args.tol, max_rounds=max_rounds)
     report = _base_report(
         "rank",
         file_digest(args.model),
@@ -92,19 +89,19 @@ def cmd_rank(args) -> int:
         {"model": str(args.model), "drift": model_doc.drift, "controls": list(model_doc.controls)},
     )
     results = {
-        "dimension": rank.dimension_found,
-        "dimension_full": rank.dimension_full,
-        "rank_criterion_met": rank.rank_criterion_met,
+        "dimension": sub.dimension,
+        "dimension_full": dim_full,
+        "rank_criterion_met": sub.full_rank,
         "closed": sub.closed,
         "bracket_depth": sub.bracket_depth_reached,
-        "residual_spectrum": list(rank.residual_spectrum),
+        "residual_spectrum": list(sub.rejected_residuals),
     }
-    if not rank.rank_criterion_met:
+    if not sub.full_rank:
         results["passive"] = passivity_check(sub, tol=args.tol)
     results["diagnostics"] = _closure_diagnostics(sub)
     report["results"] = results
     _finish(report, started, args.out)
-    return 0 if rank.rank_criterion_met else 1
+    return 0 if sub.full_rank else 1
 
 
 def cmd_williamson(args) -> int:
@@ -191,7 +188,7 @@ def cmd_recur(args) -> int:
         "mode_distance_at_tau": result.mode_distance_at_tau,
         "K": result.conditioning,
         "best_distance_seen": result.best_distance_seen,
-        "nu": [float(v) for v in symplectic_eigenvalues(H)],
+        "nu": list(result.nu),
     }
     _finish(report, started, args.out)
     return 0  # horizon exhaustion is an honest negative, still exit 0

@@ -1,15 +1,16 @@
-"""Bracket closure of symplectic generators and the Lie algebra rank criterion.
+"""Bracket closure of quadratic Hamiltonians and the Lie algebra rank criterion.
 
-Coordinates. An element G = -A Omega of sp(2n, R) is carried as its
-symmetric matrix A = G Omega. Its coordinate vector holds the n(2n+1)
-upper-triangle entries of A, the off-diagonal ones weighted by sqrt(2), so
-the Euclidean geometry of the vectors is the Frobenius geometry of the
-generators: ||vec A|| = ||A||_F = ||G||_F, and likewise for inner products.
-A full-rank basis is therefore a square matrix.
+Coordinates. The closure takes ``QuadraticHamiltonian`` seeds and works on
+their symmetric matrices A throughout; the generator G = -A Omega of sp(2n, R)
+is never formed. A coordinate vector holds the n(2n+1) upper-triangle
+entries of A, the off-diagonal ones weighted by sqrt(2), so the Euclidean
+geometry of the vectors is the Frobenius geometry of the generators:
+||vec A|| = ||A||_F = ||G||_F, and likewise for inner products. A full-rank
+basis is therefore a square matrix.
 
 Brackets. [G_b, G_s] = -C Omega with C = A_s Omega A_b - A_b Omega A_s,
 which equals P + P^T for P = A_s Omega A_b and so is exactly symmetric in
-floating point. One batched product brackets the whole frontier (the basis
+floating point (``hamiltonians.bracket_hamiltonians`` uses the same formula). One batched product brackets the whole frontier (the basis
 elements added in the previous round) against every seed at once.
 
 Acceptance. Closure proceeds breadth first, one round per bracket depth.
@@ -39,15 +40,13 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .hamiltonians import SymplecticGenerator
+from .hamiltonians import QuadraticHamiltonian
 from .symplectic import symplectic_form
 
 __all__ = [
     "LieSubspace",
-    "RankReport",
     "full_dimension",
     "closure",
-    "rank_criterion",
     "contains",
     "passivity_check",
 ]
@@ -75,6 +74,8 @@ def full_dimension(n: int) -> int:
 class LieSubspace:
     """An orthonormalised basis of the subalgebra generated by a seed set.
 
+    ``full_rank`` is the rank criterion: the dimension equals n(2n+1).
+
     ``min_accepted_residual`` is the smallest residual that entered the
     basis and ``rank_gap`` that residual divided by the largest rejected
     one, or None when no candidate was rejected with a nonzero residual.
@@ -82,7 +83,7 @@ class LieSubspace:
     """
 
     n: int
-    matrices: np.ndarray  # (dimension, 2n, 2n), the normalised A = G Omega of each element
+    matrices: np.ndarray  # (dimension, 2n, 2n), the normalised symmetric A of each element
     sources: tuple[str, ...]
     orthonormal_vectors: np.ndarray  # (dimension, n(2n+1)), orthonormal rows
     closed: bool
@@ -96,24 +97,9 @@ class LieSubspace:
     def dimension(self) -> int:
         return len(self.sources)
 
-    @functools.cached_property
-    def basis(self) -> tuple[SymplecticGenerator, ...]:
-        """The basis generators G = -A Omega, built on first use."""
-        omega = symplectic_form(self.n)
-        return tuple(
-            SymplecticGenerator(n=self.n, G=-A @ omega, source=source)
-            for A, source in zip(self.matrices, self.sources)
-        )
-
-
-@dataclass(frozen=True)
-class RankReport:
-    """Outcome of the Lie algebra rank criterion."""
-
-    dimension_found: int
-    dimension_full: int
-    rank_criterion_met: bool
-    residual_spectrum: tuple[float, ...] = ()
+    @property
+    def full_rank(self) -> bool:
+        return self.dimension == full_dimension(self.n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -128,10 +114,9 @@ def _coordinates(A: np.ndarray) -> np.ndarray:
     return A[..., rows, cols] * weights
 
 
-def _hamiltonian_matrix(G: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """The symmetric A = G Omega of a generator, dropping any part outside sp(2n, R)."""
-    A = np.asarray(G, dtype=float) @ omega
-    return 0.5 * (A + A.T)
+def _symmetric(H: QuadraticHamiltonian) -> np.ndarray:
+    """H.A with the rounding-level asymmetry its validation allows removed."""
+    return 0.5 * (H.A + H.A.T)
 
 
 def _project_once(Q: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -148,11 +133,14 @@ def _project_out(Q: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 def closure(
-    generators: Iterable[SymplecticGenerator],
+    seeds: Iterable[QuadraticHamiltonian],
     tol: float = DEFAULT_TOL,
     max_rounds: int | None = None,
 ) -> LieSubspace:
-    """Generate the Lie subalgebra spanned by repeated seed brackets.
+    """Generate the Lie subalgebra spanned by repeated brackets of the seeds iH.
+
+    Each basis element is named after its seed's label (``seed<i>`` when
+    the label is empty) or the bracket it came from.
 
     Candidates are normalised before the independence test, so ``tol`` is a
     relative threshold. Processing order is deterministic (largest residual
@@ -161,12 +149,12 @@ def closure(
 
     An exhausted round budget is reported as ``closed=False``, not raised.
     """
-    seeds = list(generators)
+    seeds = list(seeds)
     if not seeds:
-        raise ValueError("closure needs at least one seed generator")
+        raise ValueError("closure needs at least one seed Hamiltonian")
     n = seeds[0].n
-    if any(g.n != n for g in seeds):
-        raise ValueError(f"mixed mode counts in seeds: {sorted({g.n for g in seeds})}")
+    if any(H.n != n for H in seeds):
+        raise ValueError(f"mixed mode counts in seeds: {sorted({H.n for H in seeds})}")
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     dim_full = full_dimension(n)
@@ -174,8 +162,8 @@ def closure(
         max_rounds = 2 * dim_full
 
     omega = symplectic_form(n)
-    seed_A = np.array([_hamiltonian_matrix(g.G, omega) for g in seeds])
-    seed_names = [g.source or f"seed{i}" for i, g in enumerate(seeds)]
+    seed_A = np.array([_symmetric(H) for H in seeds])
+    seed_names = [H.label or f"seed{i}" for i, H in enumerate(seeds)]
     k = len(seeds)
 
     Q = np.zeros((dim_full, dim_full))  # orthonormal rows, one per basis element
@@ -265,22 +253,11 @@ def closure(
     )
 
 
-def rank_criterion(sub: LieSubspace) -> RankReport:
-    """Compare the closure dimension with dim sp(2n, R) = n(2n+1)."""
-    dim_full = full_dimension(sub.n)
-    return RankReport(
-        dimension_found=sub.dimension,
-        dimension_full=dim_full,
-        rank_criterion_met=sub.dimension == dim_full,
-        residual_spectrum=sub.rejected_residuals,
-    )
-
-
-def contains(sub: LieSubspace, gen: SymplecticGenerator, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the generator lies in the span of the subspace, relatively to tol."""
-    if gen.n != sub.n:
-        raise ValueError(f"mode count mismatch: subspace has {sub.n}, generator has {gen.n}")
-    v = _coordinates(_hamiltonian_matrix(gen.G, symplectic_form(sub.n)))
+def contains(sub: LieSubspace, H: QuadraticHamiltonian, tol: float = DEFAULT_TOL) -> bool:
+    """True iff iH lies in the span of the subspace, relatively to tol."""
+    if H.n != sub.n:
+        raise ValueError(f"mode count mismatch: subspace has {sub.n}, Hamiltonian has {H.n}")
+    v = _coordinates(_symmetric(H))
     norm = np.linalg.norm(v)
     if norm == 0.0:
         return True

@@ -1,11 +1,14 @@
 """Quadratic Hamiltonians H = (1/2) R^T A R and their symplectic generators.
 
 A Hamiltonian is carried as its real symmetric 2n x 2n coefficient matrix A
-over the quadrature vector R = (q1, p1, ..., qn, pn). The map iH -> G = -A Omega
-represents the Hilbert-space commutator algebra faithfully on 2n x 2n matrices:
-the bracket of two Hamiltonians corresponds to the matrix commutator of their
-generators, which is the load-bearing fact behind every closure computation
-in this package.
+over the quadrature vector R = (q1, p1, ..., qn, pn). ``QuadraticHamiltonian``
+is the one type of Lie-algebra element in the package's API: the closure
+takes Hamiltonians, and its symmetry check is the only sp(2n, R) membership
+check. The map iH -> G = -A Omega (``generator``) represents the
+Hilbert-space commutator algebra faithfully on 2n x 2n matrices: the bracket
+of two Hamiltonians (``bracket_hamiltonians``) corresponds to the matrix
+commutator of their generators, which is the load-bearing fact behind every
+closure computation in this package.
 
 Term coefficients are angular frequencies (hbar = 1). Constant offsets such
 as the 1/2 in a^dag a + 1/2 generate global phases only and are dropped.
@@ -23,7 +26,6 @@ from .symplectic import symplectic_form
 __all__ = [
     "QuadraticHamiltonian",
     "HamiltonianTerm",
-    "SymplecticGenerator",
     "number",
     "hop",
     "pair",
@@ -160,53 +162,26 @@ def from_terms(n: int, terms: Iterable[HamiltonianTerm], label: str = "") -> Qua
     return QuadraticHamiltonian(n=n, A=A, label=label)
 
 
-@dataclass(frozen=True, eq=False)
-class SymplecticGenerator:
-    """An element G = -A Omega of sp(2n, R), the matrix representation of iH."""
+def generator(H: QuadraticHamiltonian) -> np.ndarray:
+    """Map iH to its symplectic-algebra representative G = -A Omega (read-only).
 
-    n: int
-    G: np.ndarray
-    source: str = ""
-
-    def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"mode count must be a positive integer, got {self.n!r}")
-        G = np.asarray(self.G, dtype=float)
-        dim = 2 * self.n
-        if G.shape != (dim, dim):
-            raise ValueError(f"G must have shape ({dim}, {dim}), got {G.shape}")
-        if not np.all(np.isfinite(G)):
-            raise ValueError("G has non-finite entries")
-        omega = symplectic_form(self.n)
-        GOm = G @ omega
-        # G Omega = A is the sp(2n, R) membership condition
-        if np.linalg.norm(GOm - GOm.T) > SYMMETRY_TOL * max(1.0, np.linalg.norm(G)):
-            raise ValueError("G is not in sp(2n, R): G Omega is not symmetric to 1e-12")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "G", _readonly(G))
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n
-
-
-def generator(H: QuadraticHamiltonian) -> SymplecticGenerator:
-    """Map iH to its symplectic-algebra representative G = -A Omega."""
-    omega = symplectic_form(H.n)
-    return SymplecticGenerator(n=H.n, G=-H.A @ omega, source=H.label)
+    G is in sp(2n, R) by construction: G Omega = A is symmetric.
+    """
+    G = -H.A @ symplectic_form(H.n)
+    G.setflags(write=False)
+    return G
 
 
 def bracket_hamiltonians(H1: QuadraticHamiltonian, H2: QuadraticHamiltonian) -> QuadraticHamiltonian:
     """The Hamiltonian whose generator is the commutator of the inputs' generators.
 
     At the coefficient level the bracket is C = A2 Omega A1 - A1 Omega A2,
-    which is symmetric and satisfies -C Omega = [G1, G2]; it realises the
-    Hilbert-space bracket [iH1, iH2] = i (1/2) R^T C R.
+    which satisfies -C Omega = [G1, G2]; it realises the Hilbert-space
+    bracket [iH1, iH2] = i (1/2) R^T C R. It is computed as C = P + P^T with
+    P = A2 Omega A1, which is exactly symmetric in floating point.
     """
     if H1.n != H2.n:
         raise ValueError(f"mode count mismatch: {H1.n} vs {H2.n}")
-    omega = symplectic_form(H1.n)
-    C = H2.A @ omega @ H1.A - H1.A @ omega @ H2.A
-    C = 0.5 * (C + C.T)  # symmetric in exact arithmetic; squash rounding noise
+    P = H2.A @ symplectic_form(H1.n) @ H1.A
     label = f"[{H1.label or 'H'},{H2.label or 'H'}]"
-    return QuadraticHamiltonian(n=H1.n, A=C, label=label)
+    return QuadraticHamiltonian(n=H1.n, A=P + P.T, label=label)

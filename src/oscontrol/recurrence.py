@@ -99,7 +99,11 @@ class RecurrenceQuery:
 
 @dataclass(frozen=True)
 class RecurrenceResult:
-    """Search outcome; tau and the distances are None when nothing was found."""
+    """Search outcome; tau and the distances are None when nothing was found.
+
+    ``nu`` holds the symplectic eigenvalues, ascending, from the same
+    Williamson decomposition that supplies K.
+    """
 
     found: bool
     tau: Optional[float]
@@ -107,6 +111,7 @@ class RecurrenceResult:
     mode_distance_at_tau: Optional[float]
     conditioning: float  # K = ||V||_F^2
     best_distance_seen: float
+    nu: tuple[float, ...]
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -150,10 +155,11 @@ def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
     refined. A refined minimum t* with bound K * d* <= epsilon is an
     epsilon-recurrence by the bound; one evaluation of the true propagator
     distance at t* confirms it, and the first confirmed t* is returned as
-    tau with mode_distance_at_tau = d*. Without a confirmed candidate the
+    tau with mode_distance_at_tau = d*. When no candidate passed the bound,
+    the refined best grid minimum gets one true-distance evaluation, and a
+    distance below epsilon there is returned as found too. Otherwise the
     result is negative, and best_distance_seen is the smallest true distance
-    evaluated (one evaluation at the refined best grid minimum when no
-    candidate passed the bound).
+    evaluated.
     """
     H = query.hamiltonian
     dec = williamson_decompose(H)  # raises DefinitenessError when A is not > 0
@@ -183,6 +189,17 @@ def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
     best_true = math.inf
     best_grid: Optional[tuple[float, float]] = None  # lowest unrefined grid minimum
 
+    def result(tau=None, dist=None, d_star=None) -> RecurrenceResult:
+        return RecurrenceResult(
+            found=tau is not None,
+            tau=tau,
+            achieved_distance=dist,
+            mode_distance_at_tau=d_star,
+            conditioning=K,
+            best_distance_seen=best_true,
+            nu=tuple(nu_list),
+        )
+
     def consider(t_center: float) -> Optional[RecurrenceResult]:
         nonlocal best_true
         t_star, d_star = _refine(mode_at, max(t_center - h, query.min_time), t_center + h)
@@ -190,14 +207,7 @@ def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
             dist = true_distance(t_star)
             best_true = min(best_true, dist)
             if dist < query.epsilon:
-                return RecurrenceResult(
-                    found=True,
-                    tau=t_star,
-                    achieved_distance=dist,
-                    mode_distance_at_tau=d_star,
-                    conditioning=K,
-                    best_distance_seen=best_true,
-                )
+                return result(t_star, dist, d_star)
         return None
 
     if n_points <= 2:
@@ -229,19 +239,15 @@ def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
             j = j_hi + 1
 
     if not math.isfinite(best_true) and best_grid is not None:
-        # report an honest true distance at the best bound seen
-        t_star, _ = _refine(
+        # report an honest true distance at the best bound seen; the bound
+        # is loose by up to K, so that distance may itself be below epsilon
+        t_star, d_star = _refine(
             mode_at, max(best_grid[0] - h, query.min_time), best_grid[0] + h
         )
         best_true = true_distance(t_star)
-    return RecurrenceResult(
-        found=False,
-        tau=None,
-        achieved_distance=None,
-        mode_distance_at_tau=None,
-        conditioning=K,
-        best_distance_seen=best_true,
-    )
+        if best_true < query.epsilon and t_star > query.min_time:
+            return result(t_star, best_true, d_star)
+    return result()
 
 
 def non_recurrence_witness(H, horizon: float, samples: int) -> float:

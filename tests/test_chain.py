@@ -9,7 +9,6 @@ from oscontrol import (
     closure,
     controllability_report,
     full_dimension,
-    generator,
     positive_triple,
     positivity_condition,
     verify_bracket_identities,
@@ -120,9 +119,9 @@ def test_positive_triple_reports_indefinite_member():
 def test_positive_triple_closure_matches_raw_controls():
     spec = ChainSpec(n=2, omega=1.0, g1=0.2, g2=0.2)
     model = build_chain(spec)
-    raw = closure([generator(model.drift)] + [generator(c) for c in model.controls])
+    raw = closure([model.drift, *model.controls])
     triple = positive_triple(spec, TripleParams())
-    mixed = closure([generator(t) for t in triple])
+    mixed = closure(triple)
     assert raw.dimension == mixed.dimension == full_dimension(2)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oscontrol import symplectic_form
+from oscontrol import ModelDocument, symplectic_eigenvalues, symplectic_form
 from oscontrol.cli import _build_parser, main
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -155,6 +155,21 @@ def test_recur_incommensurate_fixture(capsys):
     assert code == 0
     assert report["results"]["found"] is True
     assert report["results"]["tau"] > 10.0
+
+
+@pytest.mark.parametrize("model", ["incommensurate_pair.json", "chain_n3.json"])
+def test_recur_report_nu_matches_symplectic_eigenvalues(capsys, model):
+    # nu comes from the search's own Williamson decomposition; the direct
+    # eigenvalue route of A Omega is the independent reference
+    code, out, _ = run_cli(
+        capsys, "recur", "--model", str(MODELS / model), "--epsilon", "0.5", "--t-max", "100"
+    )
+    assert code == 0
+    doc = ModelDocument.from_path(MODELS / model)
+    expected = symplectic_eigenvalues(doc.hamiltonian(doc.drift))
+    nu = np.array(report_of(out)["results"]["nu"])
+    assert nu.shape == expected.shape
+    assert np.all(np.abs(nu - expected) <= 1e-12 * np.abs(expected))
 
 
 def test_recur_free_particle_exit_one(capsys):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oscontrol import (
     ChainSpec,
-    SymplecticGenerator,
+    QuadraticHamiltonian,
     build_chain,
     closure,
     contains,
@@ -15,9 +15,7 @@ from oscontrol import (
     hop,
     number,
     passivity_check,
-    rank_criterion,
     squeeze,
-    symplectic_form,
 )
 from oracles import brute_force_closure_rank, brute_force_closure_rank_mod_p, gram_rank
 
@@ -26,11 +24,11 @@ G_GRID = (0.05, 0.1, 0.15, 0.2)
 
 def _chain_seeds(n, g1, g2, omega=1.0, omega1=1.0, chi=1.0):
     model = build_chain(ChainSpec(n=n, omega=omega, g1=g1, g2=g2, omega1=omega1, chi=chi))
-    return [generator(model.drift)] + [generator(c) for c in model.controls]
+    return [model.drift, *model.controls]
 
 
 def test_single_generator_closes_at_dimension_one():
-    seed = generator(from_terms(1, [number(1, 1.0)]))
+    seed = from_terms(1, [number(1, 1.0)])
     sub = closure([seed])
     assert sub.dimension == 1
     assert sub.closed
@@ -38,14 +36,14 @@ def test_single_generator_closes_at_dimension_one():
 
 def test_number_and_squeeze_span_full_single_mode_algebra():
     seeds = [
-        generator(from_terms(1, [number(1, 1.0)], label="rot")),
-        generator(from_terms(1, [squeeze(1, 1.0)], label="sq")),
+        from_terms(1, [number(1, 1.0)], label="rot"),
+        from_terms(1, [squeeze(1, 1.0)], label="sq"),
     ]
     sub = closure(seeds)
     assert sub.dimension == full_dimension(1) == 3
     assert sub.closed
     # brute-force oracle over the 3-dimensional ambient space
-    assert brute_force_closure_rank([s.G for s in seeds]) == 3
+    assert brute_force_closure_rank([generator(s) for s in seeds]) == 3
 
 
 @pytest.mark.parametrize("n,expected", [(2, 10), (3, 21)])
@@ -54,32 +52,30 @@ def test_chain_closure_dimension_with_gram_oracle(n, expected):
     sub = closure(seeds)
     assert sub.dimension == expected == full_dimension(n)
     assert sub.closed
-    assert brute_force_closure_rank([s.G for s in seeds]) == expected
+    assert brute_force_closure_rank([generator(s) for s in seeds]) == expected
     # the produced basis itself has full SVD rank
-    assert gram_rank([b.G for b in sub.basis]) == expected
+    assert gram_rank(sub.matrices) == expected
 
 
 def test_rank_criterion_reports():
     sub_full = closure(
         [
-            generator(from_terms(1, [number(1, 1.0)])),
-            generator(from_terms(1, [squeeze(1, 1.0)])),
+            from_terms(1, [number(1, 1.0)]),
+            from_terms(1, [squeeze(1, 1.0)]),
         ]
     )
-    report = rank_criterion(sub_full)
-    assert report.rank_criterion_met
-    assert (report.dimension_found, report.dimension_full) == (3, 3)
+    assert sub_full.full_rank
+    assert (sub_full.dimension, full_dimension(sub_full.n)) == (3, 3)
 
-    sub_single = closure([generator(from_terms(1, [number(1, 1.0)]))])
-    report = rank_criterion(sub_single)
-    assert not report.rank_criterion_met
-    assert (report.dimension_found, report.dimension_full) == (1, 3)
+    sub_single = closure([from_terms(1, [number(1, 1.0)])])
+    assert not sub_single.full_rank
+    assert (sub_single.dimension, full_dimension(sub_single.n)) == (1, 3)
 
 
 def test_rank_criterion_chain_n3():
-    report = rank_criterion(closure(_chain_seeds(3, 0.2, 0.2)))
-    assert report.rank_criterion_met
-    assert report.dimension_found == report.dimension_full == 21
+    sub = closure(_chain_seeds(3, 0.2, 0.2))
+    assert sub.full_rank
+    assert sub.dimension == full_dimension(3) == 21
 
 
 @pytest.mark.parametrize("g", [0.1, 0.2])
@@ -91,18 +87,18 @@ def test_chain_closure_full_rank_across_sizes(g):
 
 
 def test_contains_basis_elements_and_orthogonal_directions():
-    rot = generator(from_terms(1, [number(1, 1.0)]))
-    sq = generator(from_terms(1, [squeeze(1, 1.0)]))
+    rot = from_terms(1, [number(1, 1.0)])
+    sq = from_terms(1, [squeeze(1, 1.0)])
     sub = closure([rot])
     assert contains(sub, rot)
-    assert contains(sub, sub.basis[0])
+    assert contains(sub, QuadraticHamiltonian(1, sub.matrices[0]))
     assert not contains(sub, sq)
 
 
 def test_contains_rejects_dimension_mismatch():
-    sub = closure([generator(from_terms(1, [number(1, 1.0)]))])
+    sub = closure([from_terms(1, [number(1, 1.0)])])
     with pytest.raises(ValueError):
-        contains(sub, generator(from_terms(2, [number(1, 1.0)])))
+        contains(sub, from_terms(2, [number(1, 1.0)]))
 
 
 def test_passive_restriction_contains_distant_beam_splitter():
@@ -110,10 +106,10 @@ def test_passive_restriction_contains_distant_beam_splitter():
     # reachable set stays passive but connects non-adjacent sites
     n = 3
     model = build_chain(ChainSpec(n=n, g1=0.2, g2=0.0))
-    sub = closure([generator(model.drift), generator(model.controls[0])])
+    sub = closure([model.drift, model.controls[0]])
     assert passivity_check(sub, tol=1e-9)
     assert sub.dimension <= n * n
-    bs_13 = generator(from_terms(n, [hop(1, 3, 1.0)], label="bs13"))
+    bs_13 = from_terms(n, [hop(1, 3, 1.0)], label="bs13")
     assert contains(sub, bs_13, tol=1e-9)
 
 
@@ -121,30 +117,30 @@ def test_passive_restriction_contains_distant_beam_splitter():
 def test_passive_chain_reaches_n_squared(n):
     # rotation control only with g2 = 0: the whole passive algebra u(n)
     model = build_chain(ChainSpec(n=n, g1=0.2, g2=0.0))
-    sub = closure([generator(model.drift), generator(model.controls[0])])
+    sub = closure([model.drift, model.controls[0]])
     assert sub.dimension == n * n
     assert passivity_check(sub, tol=1e-9)
 
 
 def test_passivity_check_examples():
-    rotations = [generator(from_terms(2, [number(j, 1.0)])) for j in (1, 2)]
+    rotations = [from_terms(2, [number(j, 1.0)]) for j in (1, 2)]
     assert passivity_check(closure(rotations))
 
     full = closure(
         [
-            generator(from_terms(1, [number(1, 1.0)])),
-            generator(from_terms(1, [squeeze(1, 1.0)])),
+            from_terms(1, [number(1, 1.0)]),
+            from_terms(1, [squeeze(1, 1.0)]),
         ]
     )
     assert not passivity_check(full)
 
 
 def test_closure_basis_stays_in_sp():
+    # G = -A Omega is in sp(2n, R) exactly when A is symmetric, and the
+    # basis matrices are brackets P + P^T, symmetric with no rounding
     sub = closure(_chain_seeds(3, 0.2, 0.2))
-    omega = symplectic_form(3)
-    for b in sub.basis:
-        GOm = b.G @ omega
-        assert np.linalg.norm(GOm - GOm.T) <= 1e-10
+    for A in sub.matrices:
+        assert np.array_equal(A, A.T)
 
 
 def test_closure_dimension_never_exceeds_full():
@@ -174,7 +170,7 @@ def test_closure_invariant_under_seed_recombination(seed, n):
         if abs(np.linalg.det(W)) > 0.1:  # keep the recombination well conditioned
             break
     mixed = [
-        SymplecticGenerator(n, sum(W[i, j] * seeds[j].G for j in range(3)), source=f"mix{i}")
+        QuadraticHamiltonian(n, sum(W[i, j] * seeds[j].A for j in range(3)), label=f"mix{i}")
         for i in range(3)
     ]
     assert closure(mixed).dimension == base_dim
@@ -198,7 +194,7 @@ def test_closure_input_validation():
         closure([])
     with pytest.raises(ValueError):
         closure(_chain_seeds(2, 0.2, 0.2), tol=-1.0)
-    mixed = [generator(from_terms(1, [number(1, 1.0)])), generator(from_terms(2, [number(1, 1.0)]))]
+    mixed = [from_terms(1, [number(1, 1.0)]), from_terms(2, [number(1, 1.0)])]
     with pytest.raises(ValueError):
         closure(mixed)
 
@@ -209,8 +205,8 @@ def test_closure_is_deterministic():
     b = closure(seeds)
     assert a.dimension == b.dimension
     assert np.array_equal(a.orthonormal_vectors, b.orthonormal_vectors)
-    for x, y in zip(a.basis, b.basis):
-        assert np.array_equal(x.G, y.G)
+    assert np.array_equal(a.matrices, b.matrices)
+    assert a.sources == b.sources
 
 
 @pytest.mark.parametrize("g", G_GRID)
@@ -220,9 +216,9 @@ def test_closure_dimension_matches_exact_modular_oracle(n, g):
     # same line; the float oracle at its default rtol finds 35 at n = 4,
     # g = 0.05, where the exact count is 36
     seeds = _chain_seeds(n, g, g)
-    integer_seeds = [np.rint(20.0 * s.G) for s in seeds]
+    integer_seeds = [np.rint(20.0 * generator(s)) for s in seeds]
     for s, M in zip(seeds, integer_seeds):
-        assert np.allclose(20.0 * s.G, M, rtol=0.0, atol=1e-12)
+        assert np.allclose(20.0 * generator(s), M, rtol=0.0, atol=1e-12)
     exact = brute_force_closure_rank_mod_p(integer_seeds)
     assert closure(seeds).dimension == exact == full_dimension(n)
 
@@ -242,22 +238,22 @@ def test_single_seed_closes_at_dimension_one(n, g):
 @pytest.mark.parametrize("n,g", [(2, 0.2), (4, 0.05), (6, 0.2)])
 def test_basis_elements_are_in_sp_and_contained(n, g):
     sub = closure(_chain_seeds(n, g, g))
-    omega = symplectic_form(n)
     assert sub.orthonormal_vectors.shape == (sub.dimension, n * (2 * n + 1))
-    for b in sub.basis:
-        GOm = b.G @ omega
-        assert np.linalg.norm(GOm - GOm.T) <= 1e-12
-        assert contains(sub, b)
+    assert sub.matrices.shape == (sub.dimension, 2 * n, 2 * n)
+    for A in sub.matrices:
+        assert np.array_equal(A, A.T)
+        assert contains(sub, QuadraticHamiltonian(n, A))
 
 
 def test_contains_uses_frobenius_geometry():
     # the off-diagonal coordinates carry sqrt(2): a generator at relative
     # distance d from the span has residual d, whatever entries it touches
-    rot = generator(from_terms(2, [number(1, 1.0)]))
+    rot = from_terms(2, [number(1, 1.0)])
     sub = closure([rot])
-    off = generator(from_terms(2, [hop(1, 2, 1e-8)]))
-    mixed = SymplecticGenerator(2, rot.G + off.G)
-    rel = np.linalg.norm(off.G) / np.linalg.norm(mixed.G)
+    off = from_terms(2, [hop(1, 2, 1e-8)])
+    mixed = QuadraticHamiltonian(2, rot.A + off.A)
+    # ||A||_F = ||G||_F, so the relative distance is the same for either
+    rel = np.linalg.norm(off.A) / np.linalg.norm(mixed.A)
     assert not contains(sub, mixed, tol=0.99 * rel)
     assert contains(sub, mixed, tol=1.01 * rel)
 

@@ -6,10 +6,12 @@ import pytest
 import scipy.linalg
 
 from oscontrol import (
+    ChainSpec,
     DefinitenessError,
     ModelDocument,
     QuadraticHamiltonian,
     RecurrenceQuery,
+    build_chain,
     conditioning_bound,
     expm,
     find_recurrence,
@@ -229,6 +231,24 @@ def test_find_recurrence_reports_honest_negative():
     assert result.tau is None
     assert result.best_distance_seen > 0.0
     assert math.isfinite(result.best_distance_seen)
+
+
+def test_negative_fallback_below_epsilon_is_found(monkeypatch):
+    # no refined grid minimum of the n = 4 chain drift passes the filter
+    # epsilon / K at epsilon = 0.3, but the one true distance evaluated at
+    # the best of them is 0.085; that evaluation certifies a recurrence
+    drift = build_chain(ChainSpec(n=4, g1=0.2, g2=0.2)).drift
+    calls = _count_expm(monkeypatch)
+    result = find_recurrence(RecurrenceQuery(hamiltonian=drift, epsilon=0.3))
+    assert result.found
+    assert calls == [result.tau]
+    assert result.tau > 0.0
+    assert result.mode_distance_at_tau * result.conditioning > 0.3  # not the bound's doing
+    G = -np.asarray(drift.A) @ symplectic_form(4)
+    reference = np.linalg.norm(scipy.linalg.expm(G * result.tau) - np.eye(8))
+    assert result.achieved_distance < 0.3
+    assert result.achieved_distance == pytest.approx(reference, rel=1e-6)
+    assert result.best_distance_seen == result.achieved_distance
 
 
 def _count_expm(monkeypatch) -> list:

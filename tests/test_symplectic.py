@@ -168,15 +168,19 @@ def test_stacked_expm_zero_generator_or_time_is_identity():
     assert np.array_equal(E[1], np.eye(4)) and np.array_equal(E[2], np.eye(4))
 
 
-def test_stack_of_one_agrees_with_single_matrix_path():
-    rng = np.random.default_rng(8)
-    A = random_symmetric(rng, 6)
-    G = -A @ symplectic_form(3)
-    for t in (0.3, 7.5):
-        single = expm(G, t)
-        stacked = expm(G[None], np.array([t]))
-        assert stacked.shape == (1, 6, 6)
-        assert np.linalg.norm(stacked[0] - single) <= 1e-13 * max(1.0, t) * np.linalg.norm(single)
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_single_matrix_expm_matches_scipy(m):
+    # the 2-D call (one generator, scalar t) against an independent kernel,
+    # unscaled and with several squarings, under the stacked test's bound
+    rng = np.random.default_rng(200 + m)
+    G = -random_symmetric(rng, m) @ symplectic_form(m // 2)
+    for target in (0.5 * THETA13, 6.0 * THETA13):
+        t = target / np.abs(G).sum(axis=0).max()
+        E = expm(G, t)
+        assert E.shape == (m, m)
+        reference = scipy.linalg.expm(G * t)
+        scale = np.linalg.norm(reference)
+        assert np.linalg.norm(E - reference) <= 2e-13 * max(1.0, target / THETA13) * scale
 
 
 @pytest.mark.parametrize("where", ["G", "t"])
