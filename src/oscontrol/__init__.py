@@ -39,6 +39,7 @@ from .closure import (
     passivity_check,
 )
 from .williamson import (
+    AnalysisError,
     DefinitenessError,
     SpectrumCertificate,
     WilliamsonDecomposition,
@@ -88,7 +89,7 @@ __all__ = [
     # closure
     "LieSubspace", "full_dimension", "closure", "contains", "passivity_check",
     # williamson
-    "DefinitenessError", "WilliamsonDecomposition", "SpectrumCertificate",
+    "AnalysisError", "DefinitenessError", "WilliamsonDecomposition", "SpectrumCertificate",
     "symplectic_eigenvalues", "williamson_decompose", "spectrum_certificate",
     # recurrence
     "RecurrenceQuery", "RecurrenceResult",

@@ -5,7 +5,8 @@ machine-readable JSON report (stdout by default, ``--out`` to a file) with
 the effective tolerances echoed, and follows one exit-code contract:
 
 * 0 - success / affirmative analysis,
-* 1 - analysis negative or a precondition failed (reported in the output),
+* 1 - analysis negative, or a precondition or numerical check failed
+  (reported in the output under ``results.error``),
 * 2 - usage or document errors.
 """
 
@@ -35,6 +36,7 @@ from .evolution import CovarianceState, evolve_covariance, propagate
 from .recurrence import RecurrenceQuery, find_recurrence
 from .symplectic import audit_symplecticity
 from .williamson import (
+    AnalysisError,
     DefinitenessError,
     spectrum_certificate,
     williamson_decompose,
@@ -63,6 +65,17 @@ def _base_report(command: str, digest: str, tolerances: dict, echo: dict) -> dic
         "inputs": echo,
         "results": {},
     }
+
+
+def _analysis_error(exc: AnalysisError) -> dict:
+    """The ``results.error`` record of a failed numerical analysis."""
+    if isinstance(exc, DefinitenessError):
+        return {
+            "kind": "definiteness",
+            "message": str(exc),
+            "smallest_eigenvalue": exc.smallest_eigenvalue,
+        }
+    return {"kind": "numerical", "message": str(exc)}
 
 
 def _closure_diagnostics(sub) -> dict:
@@ -126,12 +139,8 @@ def cmd_williamson(args) -> int:
     }
     try:
         dec = williamson_decompose(H, tol=args.tol)
-    except DefinitenessError as exc:
-        report["results"]["error"] = {
-            "kind": "definiteness",
-            "message": str(exc),
-            "smallest_eigenvalue": exc.smallest_eigenvalue,
-        }
+    except AnalysisError as exc:
+        report["results"]["error"] = _analysis_error(exc)
         _finish(report, started, args.out)
         return 1
     report["results"].update(
@@ -173,12 +182,8 @@ def cmd_recur(args) -> int:
         raise DocumentError(f"recurrence query: {exc}") from exc
     try:
         result = find_recurrence(query)
-    except DefinitenessError as exc:
-        report["results"]["error"] = {
-            "kind": "definiteness",
-            "message": str(exc),
-            "smallest_eigenvalue": exc.smallest_eigenvalue,
-        }
+    except AnalysisError as exc:
+        report["results"]["error"] = _analysis_error(exc)
         _finish(report, started, args.out)
         return 1
     report["results"] = {

@@ -8,11 +8,16 @@ is exactly what makes the propagator exp(-A Omega t) quasi-periodic, so the
 spectrum certificate produced here doubles as the recurrence precondition.
 
 The decomposition is built through the symmetric square root of A:
-M = A^{1/2} Omega A^{1/2} is antisymmetric, its real Schur form is block
-diagonal with blocks [[0, nu], [-nu, 0]], and V = A^{1/2} Q D^{-1/2} for the
-canonicalised Schur basis Q. Postconditions (reconstruction residual and
-symplecticity of V) validate the route; no uniqueness of V is claimed when
-symplectic eigenvalues are degenerate.
+M = A^{1/2} Omega A^{1/2} is antisymmetric, so iM is Hermitian with
+eigenvalues -nu_n..-nu_1, nu_1..nu_n, and one Hermitian ``eigh`` of iM gives
+nu already sorted. An eigenvector u = x + iy of +nu yields the real
+orthonormal pair (sqrt(2) y, sqrt(2) x) with M y = -nu x and M x = nu y, a
+block [[0, nu], [-nu, 0]] of the real normal form Z^T M Z, and
+V = A^{1/2} Z D^{-1/2}. The phase of each u is fixed by rotating its
+largest-magnitude entry onto the positive imaginary axis, which makes the
+rotation inside each 2x2 block canonical. Postconditions (reconstruction
+residual and symplecticity of V) validate the route; no uniqueness of V is
+claimed when symplectic eigenvalues are degenerate.
 """
 
 from __future__ import annotations
@@ -20,12 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .hamiltonians import QuadraticHamiltonian
 from .symplectic import is_symplectic, symplectic_form
 
 __all__ = [
+    "AnalysisError",
     "DefinitenessError",
     "WilliamsonDecomposition",
     "SpectrumCertificate",
@@ -44,7 +49,16 @@ DEFAULT_RESIDUAL_TOL = 1e-8
 DIAGONALIZER_CONDITION_CAP = 1e8
 
 
-class DefinitenessError(ValueError):
+class AnalysisError(ValueError):
+    """A numerical analysis could not produce a trustworthy result.
+
+    The input was well formed, but a precondition or a postcondition of the
+    computation failed; the CLI reports this as a negative analysis (exit
+    1), not as a usage error.
+    """
+
+
+class DefinitenessError(AnalysisError):
     """Raised when an operation requires a positive-definite matrix."""
 
     def __init__(self, message: str, smallest_eigenvalue: float):
@@ -90,7 +104,7 @@ def symplectic_eigenvalues(H, tol: float = DEFAULT_DEFINITENESS_TOL) -> np.ndarr
     ev = np.linalg.eigvals(A @ symplectic_form(n))
     nu = np.sort(ev.imag[ev.imag > 0.0])
     if nu.size != n:
-        raise ValueError(
+        raise AnalysisError(
             f"spectrum of A Omega did not split into +/- i nu pairs "
             f"(found {nu.size} positive imaginary parts, expected {n})"
         )
@@ -122,51 +136,40 @@ def williamson_decompose(H, tol: float = DEFAULT_RESIDUAL_TOL) -> WilliamsonDeco
 
     Returns:
         WilliamsonDecomposition with nu sorted ascending. V is canonicalised
-        (per-block sign convention) for reproducibility, but is unique only
-        up to symplectic-orthogonal freedom when eigenvalues are degenerate.
+        by the phase rule of the module docstring, so diagonal inputs give
+        the hand-computed V; it is unique only up to symplectic-orthogonal
+        freedom when eigenvalues are degenerate.
+
+    Raises:
+        DefinitenessError: A is not positive definite.
+        AnalysisError: the residual or the symplecticity audit of V failed.
     """
     A = _coerce_symmetric(H)
     n = A.shape[0] // 2
     omega = symplectic_form(n)
 
     # symmetric square root through the eigendecomposition of A, whose
-    # spectrum also decides definiteness
+    # spectrum also decides definiteness; then nu_1 >= lam[0] > 0, so the
+    # spectrum of iM splits into n negative and n positive eigenvalues
     lam, Q = np.linalg.eigh(A)
     _require_positive_definite(lam)
     root = (Q * np.sqrt(lam)) @ Q.T
 
     M = root @ omega @ root
-    M = 0.5 * (M - M.T)  # exact antisymmetry before the Schur step
-    T, Z = scipy.linalg.schur(M, output="real")
+    w, U = np.linalg.eigh(0.5j * (M - M.T))  # exactly Hermitian
+    nu = w[n:]
+    u = U[:, n:]
 
-    # walk the block diagonal; positive-definite input yields n 2x2 blocks
-    mus = np.empty(n)
-    i = 0
-    for b in range(n):
-        if i + 1 >= 2 * n or T[i + 1, i] == 0.0:
-            raise DefinitenessError(
-                "Schur form of A^(1/2) Omega A^(1/2) has a 1x1 block; "
-                f"input is numerically singular (smallest eigenvalue {lam[0]:.6e})",
-                smallest_eigenvalue=lam[0],
-            )
-        mu = 0.5 * (T[i, i + 1] - T[i + 1, i])
-        if mu < 0.0:
-            Z[:, [i, i + 1]] = Z[:, [i + 1, i]]  # transposes the block, flipping its sign
-            mu = -mu
-        mus[b] = mu
-        i += 2
-
-    order = np.argsort(mus, kind="stable")
-    nu = mus[order]
-    col_order = np.ravel(np.column_stack((2 * order, 2 * order + 1)))
-    Z = Z[:, col_order]
-
-    # per-block sign convention: largest-magnitude entry of each first column
-    # positive, so diagonal inputs reproduce the hand-computed V exactly
-    for b in range(n):
-        c = Z[:, 2 * b]
-        if c[np.argmax(np.abs(c))] < 0.0:
-            Z[:, 2 * b: 2 * b + 2] = -Z[:, 2 * b: 2 * b + 2]
+    # phase rule: the largest-magnitude entry of each u (the lowest index
+    # among ties at rounding level) becomes purely imaginary and positive,
+    # which makes the largest entry of each first column of Z positive
+    mag = np.abs(u)
+    k = np.argmax(mag >= (1.0 - 8.0 * np.finfo(float).eps) * mag.max(axis=0), axis=0)
+    pivot = u[k, np.arange(n)]
+    u = u * (1j * np.conj(pivot) / np.abs(pivot))
+    Z = np.empty((2 * n, 2 * n))
+    Z[:, 0::2] = np.sqrt(2.0) * u.imag
+    Z[:, 1::2] = np.sqrt(2.0) * u.real
 
     V = root @ Z / np.sqrt(np.repeat(nu, 2))
 
@@ -174,12 +177,12 @@ def williamson_decompose(H, tol: float = DEFAULT_RESIDUAL_TOL) -> WilliamsonDeco
     residual = float(np.linalg.norm(A - V @ D @ V.T))
     scale = max(np.linalg.norm(A), np.finfo(float).tiny)
     if residual > tol * scale:
-        raise ValueError(
+        raise AnalysisError(
             f"Williamson reconstruction residual {residual:.3e} exceeds "
             f"{tol:.1e} * ||A||_F = {tol * scale:.3e}; input is too ill-conditioned"
         )
     if not is_symplectic(V, 1e-8 * max(1.0, np.linalg.norm(V) ** 2)):
-        raise ValueError("Williamson basis V failed the symplecticity audit")
+        raise AnalysisError("Williamson basis V failed the symplecticity audit")
     V.setflags(write=False)
     nu.setflags(write=False)
     return WilliamsonDecomposition(n=n, V=V, nu=nu, residual=residual)

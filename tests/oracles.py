@@ -193,3 +193,10 @@ def random_symplectic(rng: np.random.Generator, n: int, strength: float = 1.0) -
     omega = np.kron(np.eye(n), np.array([[0.0, 1.0], [-1.0, 0.0]]))
     A = random_symmetric(rng, 2 * n)
     return scipy.linalg.expm(-A @ omega * strength)
+
+
+def pairing_route_bound(V: np.ndarray) -> float:
+    """||W||_F ||W^{-1}||_F for W = V U, U pairing each block into +/- i nu."""
+    pairing = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / np.sqrt(2.0)
+    W = V @ np.kron(np.eye(V.shape[0] // 2), pairing)
+    return float(np.linalg.norm(W) * np.linalg.norm(np.linalg.inv(W)))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oscontrol import ModelDocument, symplectic_eigenvalues, symplectic_form
+from oscontrol import AnalysisError, ModelDocument, symplectic_eigenvalues, symplectic_form
 from oscontrol.cli import _build_parser, main
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -121,6 +121,37 @@ def test_williamson_indefinite_exit_one(capsys):
     assert code == 1
     assert report["results"]["error"]["kind"] == "definiteness"
     assert "smallest eigenvalue" in report["results"]["error"]["message"]
+
+
+def test_williamson_residual_failure_exits_one_as_numerical(capsys):
+    # a reachable residual (about 3e-15) against an unreachable tolerance is
+    # a failed analysis, not a usage error
+    code, out, _ = run_cli(
+        capsys, "williamson", "--model", str(MODELS / "chain_n3.json"), "--tol", "1e-20"
+    )
+    report = report_of(out)
+    assert code == 1
+    error = report["results"]["error"]
+    assert error["kind"] == "numerical"
+    assert "residual" in error["message"]
+    assert "smallest_eigenvalue" not in error
+    assert "nu" not in report["results"]
+
+
+def test_recur_analysis_error_exits_one_as_numerical(capsys, monkeypatch):
+    def audit_fails(query):
+        raise AnalysisError("Williamson basis V failed the symplecticity audit")
+
+    monkeypatch.setattr("oscontrol.cli.find_recurrence", audit_fails)
+    code, out, _ = run_cli(
+        capsys, "recur", "--model", str(MODELS / "incommensurate_pair.json"), "--epsilon", "0.5"
+    )
+    report = report_of(out)
+    assert code == 1
+    assert report["results"]["error"] == {
+        "kind": "numerical",
+        "message": "Williamson basis V failed the symplecticity audit",
+    }
 
 
 def test_recur_identity_hamiltonian(capsys, tmp_path):

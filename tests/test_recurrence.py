@@ -23,7 +23,7 @@ from oscontrol import (
     symplectic_form,
     williamson_decompose,
 )
-from oracles import random_positive_definite
+from oracles import pairing_route_bound, random_positive_definite
 
 TWO_PI = 2.0 * math.pi
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -79,20 +79,14 @@ def test_conditioning_bound_explicit_two_by_two():
     assert K == pytest.approx(expected, abs=1e-12)
 
 
-def _pairing_route_bound(H) -> float:
-    """||W||_F ||W^{-1}||_F for W = V U, U pairing each block into +/- i nu."""
-    V = williamson_decompose(H).V
-    pairing = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / math.sqrt(2.0)
-    W = V @ np.kron(np.eye(H.n), pairing)
-    return float(np.linalg.norm(W) * np.linalg.norm(np.linalg.inv(W)))
-
-
 def test_conditioning_bound_matches_pairing_route():
     rng = np.random.default_rng(41)
     for i in range(20):
         n = 1 + i % 4
         H = QuadraticHamiltonian(n, random_positive_definite(rng, n, cond=100.0))
-        assert conditioning_bound(H) == pytest.approx(_pairing_route_bound(H), rel=1e-12)
+        assert conditioning_bound(H) == pytest.approx(
+            pairing_route_bound(williamson_decompose(H).V), rel=1e-12
+        )
 
 
 def test_conditioning_bound_floor_under_congruence_scaling():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,13 +9,14 @@ from oscontrol import (
     DefinitenessError,
     QuadraticHamiltonian,
     build_chain,
+    conditioning_bound,
     is_symplectic,
     spectrum_certificate,
     symplectic_eigenvalues,
     symplectic_form,
     williamson_decompose,
 )
-from oracles import random_positive_definite, random_symplectic
+from oracles import pairing_route_bound, random_positive_definite, random_symplectic
 
 
 def test_symplectic_eigenvalues_of_identity():
@@ -58,6 +60,57 @@ def test_williamson_single_mode_analytic_case():
     dec = williamson_decompose(QuadraticHamiltonian(1, np.diag([4.0, 1.0])))
     assert dec.nu[0] == pytest.approx(2.0, abs=1e-12)
     assert np.allclose(dec.V, np.diag([np.sqrt(2.0), 1 / np.sqrt(2.0)]), atol=1e-12)
+
+
+@pytest.mark.parametrize("nu0", [(1.0, 1.0, 1.0), (1.0, 2.0, 2.0)])
+def test_williamson_degenerate_spectra_under_congruence(nu0):
+    # a degenerate nu leaves the eigenvectors of each +nu free up to a
+    # unitary mixing; every pair the phase rule builds must still be valid
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        S = random_symplectic(rng, 3, strength=0.6)
+        A = S @ np.diag(np.repeat(nu0, 2)) @ S.T
+        H = QuadraticHamiltonian(3, 0.5 * (A + A.T))
+        dec = williamson_decompose(H)
+        assert is_symplectic(dec.V, 1e-8)
+        assert dec.residual <= 1e-8 * np.linalg.norm(H.A)
+        assert np.allclose(dec.nu, nu0, rtol=1e-9)
+        assert np.allclose(dec.nu, symplectic_eigenvalues(H), rtol=1e-9)
+        assert conditioning_bound(H) == pytest.approx(pairing_route_bound(dec.V), rel=1e-12)
+
+
+def test_williamson_diagonal_three_modes_hand_computed():
+    # diag(a, b) per mode gives nu = sqrt(ab) and the block
+    # diag((a/b)^(1/4), (b/a)^(1/4)); columns follow ascending nu
+    A = np.diag([4.0, 1.0, 1.0, 9.0, 0.25, 1.0])  # nu = 2, 3, 0.5
+    dec = williamson_decompose(QuadraticHamiltonian(3, A))
+    expected = np.zeros((6, 6))
+    expected[4:6, 0:2] = np.diag([1 / np.sqrt(2.0), np.sqrt(2.0)])
+    expected[0:2, 2:4] = np.diag([np.sqrt(2.0), 1 / np.sqrt(2.0)])
+    expected[2:4, 4:6] = np.diag([1 / np.sqrt(3.0), np.sqrt(3.0)])
+    eps = np.finfo(float).eps
+    np.testing.assert_allclose(dec.nu, [0.5, 2.0, 3.0], rtol=4 * eps, atol=0)
+    np.testing.assert_allclose(dec.V, expected, rtol=4 * eps, atol=4 * eps)
+
+
+def _schur_symplectic_eigenvalues(A: np.ndarray) -> np.ndarray:
+    """nu from the real Schur form of A^(1/2) Omega A^(1/2), sorted."""
+    n = A.shape[0] // 2
+    root = scipy.linalg.sqrtm(A).real
+    M = root @ symplectic_form(n) @ root
+    T = scipy.linalg.schur(0.5 * (M - M.T), output="real")[0]
+    return np.sort(np.abs(np.diag(T, 1)[0::2]))
+
+
+def test_williamson_nu_matches_schur_reference():
+    rng = np.random.default_rng(99)
+    for _ in range(60):
+        n = int(rng.integers(1, 7))
+        A = random_positive_definite(rng, n, cond=float(rng.uniform(2, 300)))
+        nu_ref = _schur_symplectic_eigenvalues(A)
+        assert np.min(np.diff(nu_ref), initial=1.0) > 1e-6 * nu_ref[-1]  # nondegenerate
+        dec = williamson_decompose(QuadraticHamiltonian(n, A))
+        assert np.all(np.abs(dec.nu - nu_ref) <= 1e-12 * nu_ref)
 
 
 def test_williamson_round_trip_known_eigenvalues():
