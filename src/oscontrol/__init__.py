@@ -59,7 +59,6 @@ from .evolution import (
     ControlModel,
     ControlSchedule,
     CovarianceState,
-    Segment,
     evolve_covariance,
     propagate,
 )
@@ -95,7 +94,7 @@ __all__ = [
     "RecurrenceQuery", "RecurrenceResult",
     "mode_distance", "conditioning_bound", "find_recurrence", "non_recurrence_witness",
     # evolution
-    "ControlModel", "ControlSchedule", "Segment", "CovarianceState",
+    "ControlModel", "ControlSchedule", "CovarianceState",
     "propagate", "evolve_covariance",
     # chain
     "ChainSpec", "TripleParams", "PositivityCheck", "IdentityReport",

@@ -21,7 +21,7 @@ from . import hamiltonians as ham
 from .closure import LieSubspace, closure, full_dimension, passivity_check
 from .evolution import ControlModel
 from .hamiltonians import QuadraticHamiltonian
-from .symplectic import commutator, symplectic_form
+from .symplectic import commutator
 from .williamson import DefinitenessError
 
 __all__ = [
@@ -179,10 +179,11 @@ def _triple(
 
 
 # --------------------------------------------------------------------------
-# Generator fixture table for the bracket-identity suite.
+# Generator fixtures for the bracket-identity suite.
 #
-# Every named operator below is an anti-Hermitian quadratic expression in the
-# mode operators, hence equal to i * (1/2) R^T A R for a real symmetric A
+# The symmetric operators (number, exchange, pair creation, squeeze) come
+# from the term builders of ``hamiltonians``. The three antisymmetric ones,
+# i (1/2) R^T A R with a q-p coupling block, have no term builder and are
 # assembled here. Derivations expand a_j = (q_j + i p_j)/sqrt(2) and drop
 # scalar constants (which vanish in the 2n x 2n representation). Blocks are
 # written in the interleaved (q, p) ordering; j, k are 1-based sites.
@@ -198,18 +199,6 @@ def _put(A: np.ndarray, j: int, k: int, blk: np.ndarray) -> np.ndarray:
     return A
 
 
-def _number_form(n: int, j: int) -> np.ndarray:
-    # i a_j^dag a_j = i (q_j^2 + p_j^2 - 1)/2  ->  block_j = I2
-    return _put(_blocks(n), j, j, np.eye(2))
-
-
-def _exchange_sym_form(n: int, j: int, k: int) -> np.ndarray:
-    # i (a_j^dag a_k + a_j a_k^dag) = i (q_j q_k + p_j p_k)  ->  I2 off-blocks
-    A = _blocks(n)
-    _put(A, j, k, np.eye(2))
-    return _put(A, k, j, np.eye(2))
-
-
 def _exchange_anti_form(n: int, j: int, k: int) -> np.ndarray:
     # a_j^dag a_k - a_j a_k^dag = i (q_j p_k - p_j q_k)
     A = _blocks(n)
@@ -218,25 +207,12 @@ def _exchange_anti_form(n: int, j: int, k: int) -> np.ndarray:
     return _put(A, k, j, b.T)
 
 
-def _pair_sym_form(n: int, j: int, k: int) -> np.ndarray:
-    # i (a_j^dag a_k^dag + a_j a_k) = i (q_j q_k - p_j p_k)
-    A = _blocks(n)
-    b = np.diag([1.0, -1.0])
-    _put(A, j, k, b)
-    return _put(A, k, j, b)
-
-
 def _pair_anti_form(n: int, j: int, k: int) -> np.ndarray:
     # a_j^dag a_k^dag - a_j a_k = -i (q_j p_k + p_j q_k)
     A = _blocks(n)
     b = np.array([[0.0, -1.0], [-1.0, 0.0]])
     _put(A, j, k, b)
     return _put(A, k, j, b.T)
-
-
-def _squeeze_sym_form(n: int, j: int) -> np.ndarray:
-    # i (a_j^2 + a_j^dag2) = i (q_j^2 - p_j^2)  ->  block_j = diag(2, -2)
-    return _put(_blocks(n), j, j, np.diag([2.0, -2.0]))
 
 
 def _squeeze_anti_form(n: int, j: int) -> np.ndarray:
@@ -270,9 +246,9 @@ def _identity_table(
 
     Each lhs builder takes a scale factor applied to the identity's one
     mutable coefficient, so the test harness can prove non-vacuity by
-    perturbing coefficients individually. Operands are always the canonical
-    quadrature forms above, never the output of a previous identity, so a
-    mutation stays confined to its own record.
+    perturbing coefficients individually. Operands are always the
+    unit-coefficient generators built here, never the output of a previous
+    identity, so a mutation stays confined to its own record.
 
     Bracket combinations carry exact parameter scalings. The derivations fix
     three places where the unit-coefficient shorthand would break down for
@@ -281,24 +257,24 @@ def _identity_table(
     bracket order [iH1, .], and the site-2 squeeze closes with a factor 1/2.
     """
     n, w, w1, x, g = spec.n, spec.omega, spec.omega1, spec.chi, spec.g1
-    om = symplectic_form(n)
 
-    def gen_of(A: np.ndarray) -> np.ndarray:
-        return -A @ om
+    def term(t: ham.HamiltonianTerm) -> np.ndarray:
+        return ham.generator(ham.from_terms(n, [t]))
+
+    def anti(A: np.ndarray) -> np.ndarray:
+        return ham.generator(QuadraticHamiltonian(n, A))
 
     model = build_chain(spec)
-    h0 = gen_of(np.array(model.drift.A))
-    h1 = gen_of(np.array(model.controls[0].A))
-    h2 = gen_of(np.array(model.controls[1].A))
+    h0, h1, h2 = (ham.generator(H) for H in (model.drift, *model.controls))
 
-    sq_anti_1 = gen_of(_squeeze_anti_form(n, 1))
-    sq_anti_2 = gen_of(_squeeze_anti_form(n, 2))
-    sq_sym_2 = gen_of(_squeeze_sym_form(n, 2))
-    ex_anti_12 = gen_of(_exchange_anti_form(n, 1, 2))
-    ex_sym_12 = gen_of(_exchange_sym_form(n, 1, 2))
-    pr_anti_12 = gen_of(_pair_anti_form(n, 1, 2))
-    pr_sym_12 = gen_of(_pair_sym_form(n, 1, 2))
-    num_2 = gen_of(_number_form(n, 2))
+    sq_anti_1 = anti(_squeeze_anti_form(n, 1))
+    sq_anti_2 = anti(_squeeze_anti_form(n, 2))
+    sq_sym_2 = term(ham.squeeze(2, 1.0))
+    ex_anti_12 = anti(_exchange_anti_form(n, 1, 2))
+    ex_sym_12 = term(ham.hop(1, 2, 1.0))
+    pr_anti_12 = anti(_pair_anti_form(n, 1, 2))
+    pr_sym_12 = term(ham.pair(1, 2, 1.0))
+    num_2 = term(ham.number(2, 1.0))
     mix_12 = ex_anti_12 + pr_anti_12
     mix_sym_12 = ex_sym_12 + pr_sym_12
 
@@ -396,8 +372,8 @@ def _identity_table(
     )
     # [i(a2^dag a3 + a2 a3^dag), a1 a2^dag - a1^dag a2] = i(a1^dag a3 + a1 a3^dag):
     # distant sites connect through one shared-site bracket with unit scalar
-    ex_sym_23 = gen_of(_exchange_sym_form(n, 2, 3))
-    ex_sym_13 = gen_of(_exchange_sym_form(n, 1, 3))
+    ex_sym_23 = term(ham.hop(2, 3, 1.0))
+    ex_sym_13 = term(ham.hop(1, 3, 1.0))
     add(
         "long-distance-13",
         "beam-splitter between sites 1 and 3 through the shared site 2",

@@ -227,7 +227,12 @@ def cmd_evolve(args) -> int:
         "total_duration": schedule_doc.schedule.total_duration,
     }
     if sigma is not None:
-        state = evolve_covariance(CovarianceState(sigma), S)
+        try:
+            state = evolve_covariance(CovarianceState(sigma), S)
+        except AnalysisError as exc:
+            report["results"]["error"] = _analysis_error(exc)
+            _finish(report, started, args.out)
+            return 1
         report["results"]["final_covariance"] = _matrix(state.sigma)
     _finish(report, started, args.out)
     return 0

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import hamiltonians as ham
 from .chain import ChainSpec, build_chain
-from .evolution import ControlModel, ControlSchedule, Segment
+from .evolution import ControlModel, ControlSchedule
 from .hamiltonians import QuadraticHamiltonian
 
 __all__ = [
@@ -228,33 +228,34 @@ class ModelDocument:
         }
 
 
-def _parse_segment(entry: Any) -> Segment:
-    """A segment from its document entry, building no field path.
+def _parse_schedule(raw: list) -> ControlSchedule:
+    """The schedule of a ``segments`` list, type-checked in one pass.
 
-    Raises a bare ValueError wherever ``_parse_segment_checked`` raises a
-    diagnostic, so a caller reruns that to name the offending field.
+    Field paths are built only when raising. The value checks (positive
+    durations, finite controls, one control count) are the schedule's own.
     """
-    if not isinstance(entry, dict):
-        raise ValueError
-    duration, values = entry.get("duration"), entry.get("controls")
-    if not (_is_number(duration) and isinstance(values, list) and all(map(_is_number, values))):
-        raise ValueError
-    return Segment(duration=float(duration), values=tuple(values))
-
-
-def _parse_segment_checked(entry: Any, path: str) -> Segment:
-    """The same parse, naming the offending field in each diagnostic."""
-    if not isinstance(entry, dict):
-        raise _err(path, "expected an object")
-    duration = _as_number(_get(entry, "duration", path), f"{path}.duration")
-    values = _get(entry, "controls", path)
-    if not isinstance(values, list):
-        raise _err(f"{path}.controls", "expected a list of numbers")
-    vals = tuple(_as_number(v, f"{path}.controls[{j}]") for j, v in enumerate(values))
+    pairs = []
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise _err(f"segments[{i}]", "expected an object")
+        if "duration" not in entry:
+            raise _err(f"segments[{i}]", "missing required field 'duration'")
+        duration = entry["duration"]
+        if not _is_number(duration):
+            raise _err(f"segments[{i}].duration", f"expected a number, got {type(duration).__name__}")
+        if "controls" not in entry:
+            raise _err(f"segments[{i}]", "missing required field 'controls'")
+        values = entry["controls"]
+        if not isinstance(values, list):
+            raise _err(f"segments[{i}].controls", "expected a list of numbers")
+        if not all(map(_is_number, values)):
+            j = next(j for j, v in enumerate(values) if not _is_number(v))
+            raise _err(f"segments[{i}].controls[{j}]", f"expected a number, got {type(values[j]).__name__}")
+        pairs.append((duration, values))
     try:
-        return Segment(duration=duration, values=vals)
-    except ValueError as exc:
-        raise _err(path, str(exc)) from exc
+        return ControlSchedule.from_pairs(pairs)
+    except ValueError as exc:  # its message already names segments[i]
+        raise DocumentError(str(exc)) from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,19 +272,14 @@ class ScheduleDocument:
         raw = _get(data, "segments", "schedule")
         if not isinstance(raw, list):
             raise _err("segments", "expected a list")
-        segments = []
-        for i, entry in enumerate(raw):
-            try:
-                segments.append(_parse_segment(entry))
-            except ValueError:  # parse again, building field paths only now
-                segments.append(_parse_segment_checked(entry, f"segments[{i}]"))
+        schedule = _parse_schedule(raw)
         sigma = None
         if "initial_covariance" in data:
             rows = data["initial_covariance"]
             if not isinstance(rows, list) or not rows:
                 raise _err("initial_covariance", "expected a nonempty matrix")
             sigma = _as_matrix(rows, len(rows), "initial_covariance")
-        return cls(schedule=ControlSchedule(tuple(segments)), initial_covariance=sigma)
+        return cls(schedule=schedule, initial_covariance=sigma)
 
     @classmethod
     def from_path(cls, path) -> "ScheduleDocument":
@@ -297,8 +293,8 @@ class ScheduleDocument:
     def to_document(self) -> dict:
         doc: dict = {
             "segments": [
-                {"duration": s.duration, "controls": list(s.values)}
-                for s in self.schedule.segments
+                {"duration": row[0], "controls": row[1:]}
+                for row in self.schedule.segments.tolist()
             ]
         }
         if self.initial_covariance is not None:

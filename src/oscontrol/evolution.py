@@ -2,7 +2,8 @@
 
 The evolution equation dS/dt = -A(f, t) Omega S with S(0) = 1 is integrated
 exactly over segments of constant control values: later segments multiply on
-the left, so S = exp(-A_N Omega d_N) ... exp(-A_1 Omega d_1). The product is
+the left, so S = exp(-A_N Omega d_N) ... exp(-A_1 Omega d_1). A schedule is
+one (k, 1 + m) array of rows (d_i, f_{1,i}, ..., f_{m,i}). The product is
 formed chunk by chunk: each run of up to 256 segments becomes one stack of
 generators and one stacked Pade exponential (``symplectic.expm``), whose
 factors are then multiplied into S in segment order. The same machinery
@@ -12,18 +13,17 @@ therefore an opt-in check, not a constructor requirement.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .hamiltonians import QuadraticHamiltonian, _readonly
 from .symplectic import audit_symplecticity, expm, symplectic_form
+from .williamson import AnalysisError
 
 __all__ = [
     "ControlModel",
-    "Segment",
     "ControlSchedule",
     "CovarianceState",
     "propagate",
@@ -56,38 +56,60 @@ class ControlModel:
         return len(self.controls)
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One constant-control interval: duration and the control values f_k."""
-
-    duration: float
-    values: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if not (self.duration > 0.0 and math.isfinite(self.duration)):
-            raise ValueError(f"segment duration must be positive and finite, got {self.duration}")
-        values = tuple(float(v) for v in self.values)
-        if not all(map(math.isfinite, values)):
-            raise ValueError("segment control values must be finite")
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlSchedule:
-    """An ordered list of constant-control segments."""
+    """Piecewise-constant controls as one read-only array.
 
-    segments: tuple[Segment, ...] = ()
+    ``segments`` has shape (k, 1 + m): row i holds segment i's duration
+    followed by its m control values f_{1,i}, ..., f_{m,i}. Durations must be
+    positive and finite and control values finite; each diagnostic names the
+    first offending row as ``segments[i]``.
+    """
+
+    segments: np.ndarray = field(default_factory=lambda: np.empty((0, 1)))
 
     def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
+        segments = _readonly(self.segments)
+        if segments.ndim != 2 or segments.shape[1] == 0:
+            raise ValueError(
+                f"segments must have shape (k, 1 + m) (duration, then m control values), "
+                f"got {segments.shape}"
+            )
+        durations = segments[:, 0]
+        bad = ~((durations > 0.0) & np.isfinite(durations))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"segments[{i}]: segment duration must be positive and finite, "
+                f"got {float(durations[i])}"
+            )
+        bad = ~np.isfinite(segments[:, 1:]).all(axis=1)
+        if bad.any():
+            raise ValueError(f"segments[{int(np.argmax(bad))}]: segment control values must be finite")
+        object.__setattr__(self, "segments", segments)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, Sequence[float]]]) -> "ControlSchedule":
-        return cls(tuple(Segment(duration=d, values=tuple(v)) for d, v in pairs))
+        """The schedule of (duration, control values) pairs, one row each.
+
+        Every row must supply as many control values as row 0.
+        """
+        rows: list = []
+        for i, (duration, values) in enumerate(pairs):
+            row = [duration, *values]
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(
+                    f"segments[{i}]: segment supplies {len(row) - 1} control values, "
+                    f"segments[0] supplies {len(rows[0]) - 1}"
+                )
+            rows.append(row)
+        return cls(np.array(rows, dtype=float)) if rows else cls()
 
     @property
     def total_duration(self) -> float:
-        return float(sum(s.duration for s in self.segments))
+        # left to right, as the segments were given; numpy's pairwise sum
+        # would change the last digits of long schedules
+        return float(sum(self.segments[:, 0].tolist()))
 
 
 _CHUNK = 256  # segments per stacked exponential; bounds the stack at _CHUNK (2n)^2 floats
@@ -98,27 +120,26 @@ def propagate(model: ControlModel, schedule: ControlSchedule) -> np.ndarray:
 
     Returns S = exp(-A_N Omega d_N) ... exp(-A_1 Omega d_1) with
     A_i = A_drift + sum_k f_{k,i} A_k. An empty schedule gives the identity.
-    Every segment's control count is checked before any exponential. The
-    schedule is then taken in chunks of ``_CHUNK`` segments: each chunk's
-    generators are assembled with one ``tensordot``, exponentiated by one
-    stacked ``expm`` call, and multiplied into S on the left in segment order.
+    A nonempty schedule's control count is checked against the model before
+    any exponential. The schedule is then taken in chunks of ``_CHUNK``
+    rows: each chunk's generators are assembled with one ``tensordot``,
+    exponentiated by one stacked ``expm`` call, and multiplied into S on the
+    left in segment order.
     """
     segments = schedule.segments
-    for i, seg in enumerate(segments):
-        if len(seg.values) != model.num_controls:
-            raise ValueError(
-                f"segment {i} supplies {len(seg.values)} control values, "
-                f"model has {model.num_controls} controls"
-            )
+    if len(segments) and segments.shape[1] - 1 != model.num_controls:
+        raise ValueError(
+            f"schedule supplies {segments.shape[1] - 1} control values per segment, "
+            f"model has {model.num_controls} controls"
+        )
     dim = 2 * model.n
     omega = symplectic_form(model.n)
     controls = np.array([c.A for c in model.controls]).reshape(model.num_controls, dim, dim)
     S = np.eye(dim)
     for lo in range(0, len(segments), _CHUNK):
         chunk = segments[lo:lo + _CHUNK]
-        f = np.array([seg.values for seg in chunk])
-        A = model.drift.A + np.tensordot(f, controls, axes=1)
-        for E in expm(-A @ omega, np.array([seg.duration for seg in chunk])):
+        A = model.drift.A + np.tensordot(chunk[:, 1:], controls, axes=1)
+        for E in expm(-A @ omega, chunk[:, 0]):
             S = E @ S
     return S
 
@@ -166,12 +187,14 @@ def evolve_covariance(state: CovarianceState, S, tol: float = 1e-8) -> Covarianc
     S must be symplectic to ``tol`` relative to ``max(1, ||S||_F^2)``, the
     scale of the rounding in S Omega S^T; the transport then preserves the
     symplectic eigenvalues of sigma (purity and temperature invariants).
+    A shape mismatch raises ``ValueError``; an S that fails the audit raises
+    ``AnalysisError``, a failed numerical check rather than a bad input.
     """
     S = np.asarray(S, dtype=float)
     if S.shape != state.sigma.shape:
         raise ValueError(f"shape mismatch: sigma {state.sigma.shape}, S {S.shape}")
     defect = audit_symplecticity(S)
     if defect > tol * max(1.0, np.linalg.norm(S) ** 2):
-        raise ValueError(f"S is not symplectic to {tol} * ||S||_F^2: audit {defect:.3e}")
+        raise AnalysisError(f"S is not symplectic to {tol} * ||S||_F^2: audit {defect:.3e}")
     out = S @ state.sigma @ S.T
     return CovarianceState(sigma=0.5 * (out + out.T))

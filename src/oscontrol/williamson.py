@@ -131,8 +131,10 @@ def williamson_decompose(H, tol: float = DEFAULT_RESIDUAL_TOL) -> WilliamsonDeco
     Args:
         H: QuadraticHamiltonian (or plain symmetric matrix), positive definite.
         tol: relative reconstruction tolerance; the decomposition fails if
-            ``||A - V D V^T||_F > tol * ||A||_F``, which signals
-            ill-conditioning rather than an algorithmic error.
+            ``||A - V D V^T||_F > tol * ||A||_F``. The message says whether
+            the residual is within its rounding bound
+            ``8 n eps ||V||_F^2 nu_n`` (the tolerance is below rounding
+            level) or beyond it (the input is too ill-conditioned).
 
     Returns:
         WilliamsonDecomposition with nu sorted ascending. V is canonicalised
@@ -177,9 +179,18 @@ def williamson_decompose(H, tol: float = DEFAULT_RESIDUAL_TOL) -> WilliamsonDeco
     residual = float(np.linalg.norm(A - V @ D @ V.T))
     scale = max(np.linalg.norm(A), np.finfo(float).tiny)
     if residual > tol * scale:
+        # forming V D V^T alone rounds by about 2n eps ||V||_F^2 nu_n; a
+        # residual within four times that is as good as double precision
+        # gets, so only a larger one blames the input
+        rounding = 8 * n * np.finfo(float).eps * np.linalg.norm(V) ** 2 * nu[-1]
+        cause = (
+            f"the tolerance is below rounding level (rounding bound {rounding:.3e})"
+            if residual <= rounding
+            else "input is too ill-conditioned"
+        )
         raise AnalysisError(
             f"Williamson reconstruction residual {residual:.3e} exceeds "
-            f"{tol:.1e} * ||A||_F = {tol * scale:.3e}; input is too ill-conditioned"
+            f"{tol:.1e} * ||A||_F = {tol * scale:.3e}; {cause}"
         )
     if not is_symplectic(V, 1e-8 * max(1.0, np.linalg.norm(V) ** 2)):
         raise AnalysisError("Williamson basis V failed the symplecticity audit")

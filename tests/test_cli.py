@@ -296,6 +296,61 @@ def test_evolve_control_count_mismatch_exit_two(capsys, tmp_path):
     assert "controls" in err
 
 
+def test_evolve_ragged_schedule_exit_two(capsys, tmp_path):
+    schedule = tmp_path / "ragged.json"
+    schedule.write_text(json.dumps({"segments": [
+        {"duration": 1.0, "controls": [1.0]},
+        {"duration": 1.0, "controls": [1.0, 2.0]},
+    ]}))
+    code, out, err = run_cli(
+        capsys, "evolve", "--model", str(MODELS / "single_mode.json"), "--schedule", str(schedule)
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: segments[1]: segment supplies 2 control values, segments[0] supplies 1\n"
+
+
+def test_evolve_covariance_audit_failure_exits_one_as_numerical(capsys, monkeypatch):
+    # an S that fails the symplecticity audit is a failed analysis, not a
+    # usage error; the report still carries S and its audit
+    monkeypatch.setattr("oscontrol.cli.propagate", lambda model, schedule: 2.0 * np.eye(2))
+    code, out, err = run_cli(
+        capsys,
+        "evolve", "--model", str(MODELS / "single_mode.json"),
+        "--schedule", str(MODELS / "schedule_demo.json"),
+    )
+    report = report_of(out)
+    assert code == 1
+    assert err == ""
+    assert report["results"]["S"] == [[2.0, 0.0], [0.0, 2.0]]
+    assert report["results"]["error"]["kind"] == "numerical"
+    assert "not symplectic" in report["results"]["error"]["message"]
+    assert "final_covariance" not in report["results"]
+
+    # a shape mismatch stays a usage error
+    monkeypatch.setattr("oscontrol.cli.propagate", lambda model, schedule: np.eye(4))
+    code, out, err = run_cli(
+        capsys,
+        "evolve", "--model", str(MODELS / "single_mode.json"),
+        "--schedule", str(MODELS / "schedule_demo.json"),
+    )
+    assert code == 2
+    assert out == ""
+    assert "shape mismatch" in err
+
+
+def test_williamson_residual_within_rounding_blames_the_tolerance(capsys):
+    # chain_n3's drift is well conditioned: its residual of about 2e-15 is
+    # rounding, so the message must not call the input ill-conditioned
+    code, out, _ = run_cli(
+        capsys, "williamson", "--model", str(MODELS / "chain_n3.json"), "--tol", "1e-20"
+    )
+    assert code == 1
+    message = report_of(out)["results"]["error"]["message"]
+    assert "the tolerance is below rounding level" in message
+    assert "ill-conditioned" not in message
+
+
 def test_chain_canonical_fixture(capsys):
     code, out, _ = run_cli(capsys, "chain", "--n", "3")
     report = report_of(out)

@@ -155,13 +155,21 @@ def test_schedule_parsing_and_errors():
 
 def test_schedule_round_trip():
     raw = {
-        "segments": [{"duration": 0.7, "controls": [0.1, -0.9]}],
+        "segments": [
+            {"duration": 0.7, "controls": [0.1, -0.9]},
+            {"duration": 2, "controls": [1, 0]},
+            {"duration": 1.0 / 3.0, "controls": [-1e-300, 7.25]},
+            {"duration": 5e-324, "controls": [0.0, -0.0]},
+        ],
         "initial_covariance": [[1.0, 0.25], [0.25, 1.0]],
     }
     doc = ScheduleDocument.from_document(raw)
+    assert doc.schedule.segments.shape == (4, 3)
+    assert doc.schedule.segments[1].tolist() == [2.0, 1.0, 0.0]
     doc2 = ScheduleDocument.from_document(json.loads(json.dumps(doc.to_document())))
-    assert doc2.schedule.segments == doc.schedule.segments
+    assert np.array_equal(doc2.schedule.segments, doc.schedule.segments)
     assert np.array_equal(doc2.initial_covariance, doc.initial_covariance)
+    assert doc2.to_document() == doc.to_document()
 
 
 def test_render_report_is_canonical_and_17_digits():

@@ -10,7 +10,6 @@ from oscontrol import (
     ControlSchedule,
     CovarianceState,
     QuadraticHamiltonian,
-    Segment,
     audit_symplecticity,
     build_chain,
     evolve_covariance,
@@ -71,28 +70,70 @@ def test_constant_schedule_merges_segments():
     assert np.linalg.norm(propagate(model, split) - propagate(model, merged)) <= 1e-10
 
 
+_BAD_ROWS = [
+    ([[0.0]], r"segments\[0\]: segment duration must be positive and finite, got 0.0"),
+    ([[1.0, 0.5], [-1.0, 0.5]], r"segments\[1\]: segment duration .* got -1.0"),
+    ([[1.0], [1.0], [math.inf]], r"segments\[2\]: segment duration .* got inf"),
+    ([[math.nan, 0.5]], r"segments\[0\]: segment duration .* got nan"),
+    ([[1.0, 0.5], [1.0, math.inf]], r"segments\[1\]: segment control values must be finite"),
+    ([[1.0, 0.5, 0.5], [1.0, 0.5, math.nan]], r"segments\[1\]: segment control values"),
+]
+
+
 def test_segment_validation():
-    with pytest.raises(ValueError):
-        Segment(duration=0.0)
-    with pytest.raises(ValueError):
-        Segment(duration=-1.0)
-    with pytest.raises(ValueError):
-        Segment(duration=1.0, values=(math.inf,))
+    # every row is checked when the schedule is built, and the first bad
+    # row is named, whichever constructor builds it
+    for rows, message in _BAD_ROWS:
+        with pytest.raises(ValueError, match=message):
+            ControlSchedule(np.array(rows))
+        with pytest.raises(ValueError, match=message):
+            ControlSchedule.from_pairs((row[0], row[1:]) for row in rows)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 0), (1, 2, 2)])
+def test_schedule_array_must_be_two_dimensional_with_durations(shape):
+    with pytest.raises(ValueError, match=r"shape \(k, 1 \+ m\)"):
+        ControlSchedule(np.ones(shape))
+
+
+def test_schedule_segments_are_read_only():
+    rows = np.array([[0.5, 1.0], [0.25, -1.0]])
+    schedule = ControlSchedule(rows)
+    with pytest.raises(ValueError, match="read-only"):
+        schedule.segments[0, 0] = 2.0
+    rows[0, 0] = -1.0  # the schedule holds its own copy
+    assert schedule.segments[0, 0] == 0.5
+    assert ControlSchedule().segments.shape == (0, 1)
+    assert ControlSchedule.from_pairs([]).segments.shape == (0, 1)
+
+
+def test_total_duration_sums_left_to_right():
+    # numpy's pairwise sum rounds differently on these 2000 durations
+    durations = np.random.default_rng(5).uniform(0.05, 0.5, 2000).tolist()
+    schedule = ControlSchedule.from_pairs((d, ()) for d in durations)
+    total = 0.0
+    for d in durations:
+        total += d
+    assert schedule.total_duration == total
+    assert np.sum(durations) != total
 
 
 def test_control_count_mismatch(monkeypatch):
     model = _single_mode_model()
-    with pytest.raises(ValueError):
-        propagate(model, ControlSchedule.from_pairs([(1.0, (0.5, 0.5))]))
+    # empty schedules carry no control count and give the identity
+    assert np.array_equal(propagate(model, ControlSchedule(np.empty((0, 3)))), np.eye(2))
 
-    # a mismatch in the last segment is found before any segment is propagated
     def no_expm(*args):
         raise AssertionError("expm called before the control counts were checked")
 
     monkeypatch.setattr("oscontrol.evolution.expm", no_expm)
-    schedule = ControlSchedule.from_pairs([(1.0, (0.5,))] * 5 + [(1.0, (0.5, 0.5))])
-    with pytest.raises(ValueError, match="segment 5 supplies 2 control values"):
-        propagate(model, schedule)
+    with pytest.raises(ValueError, match="schedule supplies 2 control values per segment, model has 1"):
+        propagate(model, ControlSchedule.from_pairs([(1.0, (0.5, 0.5))] * 6))
+    # a ragged row is rejected when the schedule is built
+    with pytest.raises(
+        ValueError, match=r"segments\[5\]: segment supplies 2 control values, segments\[0\] supplies 1"
+    ):
+        ControlSchedule.from_pairs([(1.0, (0.5,))] * 5 + [(1.0, (0.5, 0.5))])
 
 
 def test_control_model_requires_matching_modes():
@@ -243,11 +284,11 @@ def _segment_by_segment(model, schedule):
     """The ordered product of SciPy exponentials, one per segment."""
     omega = symplectic_form(model.n)
     S = np.eye(2 * model.n)
-    for seg in schedule.segments:
+    for duration, *values in schedule.segments.tolist():
         A = np.array(model.drift.A)
-        for f, ctrl in zip(seg.values, model.controls):
+        for f, ctrl in zip(values, model.controls):
             A += f * ctrl.A
-        S = scipy.linalg.expm(-A @ omega * seg.duration) @ S
+        S = scipy.linalg.expm(-A @ omega * duration) @ S
     return S
 
 
@@ -272,11 +313,13 @@ def test_concatenation_convention_across_chunks(split):
 
 def test_control_count_mismatch_in_long_schedule_raises_before_expm(monkeypatch):
     model, schedule = _chain_model_and_schedule(22, 599)
-    schedule = ControlSchedule(schedule.segments + (Segment(0.1, (0.5,)),))
+    pairs = [(row[0], row[1:]) for row in schedule.segments.tolist()] + [(0.1, [0.5])]
 
     def no_expm(*args):
         raise AssertionError("expm called before the control counts were checked")
 
     monkeypatch.setattr("oscontrol.evolution.expm", no_expm)
-    with pytest.raises(ValueError, match="segment 599 supplies 1 control values"):
-        propagate(model, schedule)
+    with pytest.raises(ValueError, match=r"segments\[599\]: segment supplies 1 control values"):
+        ControlSchedule.from_pairs(pairs)
+    with pytest.raises(ValueError, match="schedule supplies 1 control values per segment, model has 2"):
+        propagate(model, ControlSchedule(np.ones((600, 2))))
