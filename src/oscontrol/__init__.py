@@ -36,7 +36,6 @@ from .closure import (
     closure,
     contains,
     full_dimension,
-    passivity_check,
 )
 from .williamson import (
     AnalysisError,
@@ -86,7 +85,7 @@ __all__ = [
     "number", "hop", "pair", "squeeze", "generic",
     "from_terms", "generator", "bracket_hamiltonians",
     # closure
-    "LieSubspace", "full_dimension", "closure", "contains", "passivity_check",
+    "LieSubspace", "full_dimension", "closure", "contains",
     # williamson
     "AnalysisError", "DefinitenessError", "WilliamsonDecomposition", "SpectrumCertificate",
     "symplectic_eigenvalues", "williamson_decompose", "spectrum_certificate",

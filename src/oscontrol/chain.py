@@ -18,7 +18,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 import numpy as np
 
 from . import hamiltonians as ham
-from .closure import LieSubspace, closure, full_dimension, passivity_check
+from .closure import LieSubspace, closure, full_dimension
 from .evolution import ControlModel
 from .hamiltonians import QuadraticHamiltonian
 from .symplectic import commutator
@@ -479,7 +479,7 @@ class ControllabilityReport:
     only on the span of its seeds, so ``triple_dimension`` equals
     ``dimension`` whenever ``triple_ok``. RANK_ONLY: rank met but no triple
     validated. NOT_ESTABLISHED: rank not met; ``passive`` then records
-    whether the closure stayed number conserving.
+    whether the closure stayed number conserving (``LieSubspace.passive``).
     """
 
     spec: ChainSpec
@@ -501,7 +501,6 @@ class ControllabilityReport:
 def controllability_report(
     spec: ChainSpec,
     params: TripleParams = TripleParams(),
-    tol: float = 1e-9,
     include_squeeze_control: bool = True,
 ) -> ControllabilityReport:
     """Run the whole pipeline: build, close, rank, positivity, triple, verdict.
@@ -511,7 +510,7 @@ def controllability_report(
     """
     model = build_chain(spec)
     controls = model.controls if include_squeeze_control else model.controls[:1]
-    sub = closure([model.drift, *controls], tol=tol)
+    sub = closure([model.drift, *controls])
     drift_eigenvalues = np.linalg.eigvalsh(model.drift.A)
     positivity = _positivity(spec, drift_eigenvalues)
 
@@ -530,10 +529,6 @@ def controllability_report(
             triple_dimension = sub.dimension
     else:
         triple_message = "triple not attempted: squeeze control excluded"
-
-    passive: Optional[bool] = None
-    if not sub.full_rank:
-        passive = passivity_check(sub, tol=tol)
 
     if sub.full_rank and triple_ok:
         verdict = VERDICT_CONTROLLABLE
@@ -554,7 +549,7 @@ def controllability_report(
         triple_ok=triple_ok,
         triple_message=triple_message,
         triple_dimension=triple_dimension,
-        passive=passive,
+        passive=None if sub.full_rank else sub.passive,
         verdict=verdict,
         subspace=sub,
     )

@@ -23,7 +23,7 @@ from . import __version__
 from .chain import (
     ChainSpec, TripleParams, controllability_report, identity_suite_unmet, verify_bracket_identities,
 )
-from .closure import closure, full_dimension, passivity_check
+from .closure import closure, full_dimension
 from .documents import (
     DocumentError,
     ModelDocument,
@@ -79,11 +79,12 @@ def _analysis_error(exc: AnalysisError) -> dict:
 
 
 def _closure_diagnostics(sub) -> dict:
-    """How close the closure's rank decisions came to its tolerance."""
+    """How the closure's dimension was certified, and the work it took."""
     return {
         "closure": {
-            "min_accepted_residual": sub.min_accepted_residual,
-            "rank_gap": sub.rank_gap,
+            "certificate": "exact_mod_p",
+            "prime": sub.prime,
+            "candidates": sub.candidates,
         }
     }
 
@@ -94,11 +95,11 @@ def cmd_rank(args) -> int:
     model = model_doc.control_model()
     dim_full = full_dimension(model.n)
     max_rounds = args.max_rounds if args.max_rounds is not None else 2 * dim_full
-    sub = closure([model.drift, *model.controls], tol=args.tol, max_rounds=max_rounds)
+    sub = closure([model.drift, *model.controls], max_rounds=max_rounds)
     report = _base_report(
         "rank",
         file_digest(args.model),
-        {"tol": args.tol, "max_rounds": max_rounds},
+        {"max_rounds": max_rounds},
         {"model": str(args.model), "drift": model_doc.drift, "controls": list(model_doc.controls)},
     )
     results = {
@@ -107,10 +108,9 @@ def cmd_rank(args) -> int:
         "rank_criterion_met": sub.full_rank,
         "closed": sub.closed,
         "bracket_depth": sub.bracket_depth_reached,
-        "residual_spectrum": list(sub.rejected_residuals),
     }
     if not sub.full_rank:
-        results["passive"] = passivity_check(sub, tol=args.tol)
+        results["passive"] = sub.passive
     results["diagnostics"] = _closure_diagnostics(sub)
     report["results"] = results
     _finish(report, started, args.out)
@@ -261,12 +261,10 @@ def cmd_chain(args) -> int:
     report = _base_report(
         "chain",
         data_digest(echo),
-        {"closure_tol": args.tol, "identity_tol": args.identity_tol},
+        {"identity_tol": args.identity_tol},
         echo,
     )
-    rep = controllability_report(
-        spec, params, tol=args.tol, include_squeeze_control=not args.h1_only
-    )
+    rep = controllability_report(spec, params, include_squeeze_control=not args.h1_only)
     results = {
         "verdict": rep.verdict,
         "dimension": rep.dimension,
@@ -319,7 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="Lie algebra closure and rank criterion")
     p.add_argument("--model", required=True, help="model document (JSON)")
-    p.add_argument("--tol", type=float, default=1e-9, help="relative independence tolerance")
     p.add_argument("--max-rounds", type=int, default=None, help="bracket round budget")
     p.add_argument("--out", default=None, help="report path (default: stdout)")
     p.set_defaults(func=cmd_rank)
@@ -357,7 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--identity-tol", type=float, default=1e-12)
     p.add_argument(
         "--identities", choices=("auto", "require", "skip"), default="auto",

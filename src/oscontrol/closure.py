@@ -1,42 +1,45 @@
 """Bracket closure of quadratic Hamiltonians and the Lie algebra rank criterion.
 
-Coordinates. The closure takes ``QuadraticHamiltonian`` seeds and works on
-their symmetric matrices A throughout; the generator G = -A Omega of sp(2n, R)
-is never formed. A coordinate vector holds the n(2n+1) upper-triangle
-entries of A, the off-diagonal ones weighted by sqrt(2), so the Euclidean
-geometry of the vectors is the Frobenius geometry of the generators:
-||vec A|| = ||A||_F = ||G||_F, and likewise for inner products. A full-rank
-basis is therefore a square matrix.
+Exactness. Every float64 is a dyadic rational m 2^e, and reduction modulo an
+odd prime p is a ring homomorphism from Z[1/2] onto F_p that commutes with
+brackets. The closure of the reduced seeds is therefore the reduction of the
+rational closure of the seeds exactly as given, and its dimension over F_p
+is at most the dimension of the real closure. Full rank mod p proves full
+rank, with no tolerance anywhere. A closure that stops short of n(2n+1) is
+run once more with a second prime, since an unlucky prime can only lower the
+count; the larger dimension is reported, with the prime that reached it.
 
-Brackets. [G_b, G_s] = -C Omega with C = A_s Omega A_b - A_b Omega A_s,
-which equals P + P^T for P = A_s Omega A_b and so is exactly symmetric in
-floating point (``hamiltonians.bracket_hamiltonians`` uses the same formula). One batched product brackets the whole frontier (the basis
-elements added in the previous round) against every seed at once.
+Arithmetic. Residues are held centred, |x| <= (p + 1)/2, in float64, and
+reduced as x - p rint(x / p). With p = 2^20 - 3 a dot product of up to
+n(2n+1) residue pairs stays below 2^53 while n <= 127, so every BLAS
+product is an exact integer. This is the FFLAS/FFPACK approach (Dumas,
+Giorgi and Pernet, ACM TOMS 35 (2008) 19).
 
-Acceptance. Closure proceeds breadth first, one round per bracket depth.
-A round's candidates are normalised and projected off the rows accepted in
-earlier rounds in one BLAS pass (classical Gram-Schmidt). A candidate whose
-residual is then no larger than the relative tolerance is rejected, since
-projection only shrinks a residual; most are, and the rest get a second
-pass (reorthogonalisation). The candidate with the largest residual enters
-the basis if that residual is larger than the tolerance; the others are
-projected off it, and the choice repeats (Gram-Schmidt with column
-pivoting). The round ends when no residual is above the tolerance.
-The basis keeps the normalised raw brackets, and those are what the next
-round brackets. Taking the largest residual first matters for them: the
-new part of a raw bracket tends to shrink with its parent's, so a basis
-element that is barely new makes its subtree barely new. Taken in (basis
-index, seed index) order instead, a recombined chain seed set at n = 3
-lost 2 of 21 dimensions with residuals near 1e-9.
-Bracketing against seeds only (rather than all pairs) generates the same
-algebra; the recombination-invariance property test covers this.
+Coordinates. A vector holds the n(2n+1) upper-triangle entries of the
+symmetric matrix A of a Hamiltonian; the generator G = -A Omega of
+sp(2n, R) is never formed.
+
+Brackets. [G_b, G_s] = -C Omega with C = P + P^T for P = A_s Omega A_b
+(``hamiltonians.bracket_hamiltonians`` uses the same formula). Closure runs
+breadth first, one round per bracket depth: a round brackets the raw
+residues of the elements the previous round accepted (its frontier) against
+every seed. Bracketing against seeds only, rather than all pairs, generates
+the same algebra.
+
+Basis. The accepted elements are held in reduced row echelon form [I | F]
+over permuted coordinates, the first r positions being the pivots. A block
+of at most 64 candidates is reduced against the basis in one product over
+the free columns, W_free - W_piv F; a Gauss-Jordan pass in candidate order
+then accepts the candidates that are still nonzero, and F is updated once
+per block. Candidates are taken in (frontier index, seed index) order, so
+the result is reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -45,24 +48,16 @@ from .symplectic import symplectic_form
 
 __all__ = [
     "LieSubspace",
+    "PRIMES",
     "full_dimension",
     "closure",
     "contains",
-    "passivity_check",
 ]
 
-DEFAULT_TOL = 1e-9
+# 2^20 - 3, then 2^20 - 5 for a closure that stops short with the first
+PRIMES = (1_048_573, 1_048_571)
 
-# rejected-candidate residuals within this factor below tol are kept as
-# diagnostics for borderline rank decisions
-_NEAR_TOL_WINDOW = 1e-2
-_MAX_REJECTED_KEPT = 32
-
-# The computed bracket of A_b and A_s is within 2 (2n) eps ||A_b|| ||A_s|| of
-# the exact one (Omega is a signed permutation, so only the one product
-# rounds). A bracket no larger than twice that bound is rounding noise: its
-# direction carries no information, so it is treated as zero.
-_ZERO_BRACKET_FACTOR = 4.0
+_BLOCK = 64
 
 
 def full_dimension(n: int) -> int:
@@ -72,26 +67,26 @@ def full_dimension(n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class LieSubspace:
-    """An orthonormalised basis of the subalgebra generated by a seed set.
+    """The subalgebra generated by a seed set, as an echelon basis over F_prime.
 
     ``full_rank`` is the rank criterion: the dimension equals n(2n+1).
-
-    ``min_accepted_residual`` is the smallest residual that entered the
-    basis and ``rank_gap`` that residual divided by the largest rejected
-    one, or None when no candidate was rejected with a nonzero residual.
-    A gap near 1 means the dimension hangs on the tolerance.
+    ``echelon`` holds one row per basis element in the upper-triangle
+    coordinates, as centred residues mod ``prime``; row i is 1 at coordinate
+    ``pivots[i]`` and 0 at every other pivot. ``passive`` is True exactly
+    when every seed commutes with Omega, so that the algebra lies in the
+    passive subalgebra u(n) of dimension n^2. ``candidates`` counts the seeds
+    and brackets the closure reduced against its basis.
     """
 
     n: int
-    matrices: np.ndarray  # (dimension, 2n, 2n), the normalised symmetric A of each element
+    prime: int
     sources: tuple[str, ...]
-    orthonormal_vectors: np.ndarray  # (dimension, n(2n+1)), orthonormal rows
+    pivots: np.ndarray  # (dimension,), coordinate indices
+    echelon: np.ndarray  # (dimension, n(2n+1)), residues mod prime
     closed: bool
     bracket_depth_reached: int
-    tol: float
-    rejected_residuals: tuple[float, ...] = ()
-    min_accepted_residual: Optional[float] = None
-    rank_gap: Optional[float] = None
+    passive: bool
+    candidates: int
 
     @property
     def dimension(self) -> int:
@@ -103,15 +98,10 @@ class LieSubspace:
 
 
 @functools.lru_cache(maxsize=None)
-def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into a 2n x 2n matrix of its upper triangle and of the transposed entries."""
     rows, cols = np.triu_indices(2 * n)
-    return rows, cols, np.where(rows == cols, 1.0, np.sqrt(2.0))
-
-
-def _coordinates(A: np.ndarray) -> np.ndarray:
-    """Coordinate vectors, shape (..., n(2n+1)), of symmetric (..., 2n, 2n) matrices."""
-    rows, cols, weights = _upper_triangle(A.shape[-1] // 2)
-    return A[..., rows, cols] * weights
+    return rows * (2 * n) + cols, cols * (2 * n) + rows
 
 
 def _symmetric(H: QuadraticHamiltonian) -> np.ndarray:
@@ -119,35 +109,193 @@ def _symmetric(H: QuadraticHamiltonian) -> np.ndarray:
     return 0.5 * (H.A + H.A.T)
 
 
-def _project_once(Q: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """V minus its components along the orthonormal rows of Q, in one pass."""
-    return V - (V @ Q.T) @ Q
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """Reduce integer-valued x (|x| < 2^53) mod p in place, to |x| <= (p + 1)/2."""
+    q = x / p
+    np.rint(q, out=q)
+    q *= p
+    x -= q
+    return x
 
 
-def _project_out(Q: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """V minus its components along the orthonormal rows of Q, in two passes.
+def _residue(x: float, p: int) -> int:
+    """The centred residue mod p of the dyadic rational x."""
+    num, den = x.as_integer_ratio()
+    r = num * pow(den, -1, p) % p
+    return r - p if r > p // 2 else r
 
-    The second pass removes what cancellation left behind in the first.
+
+def _to_field(A: np.ndarray, p: int) -> np.ndarray:
+    """The exact centred residues mod p of a float array, as float64."""
+    values, inverse = np.unique(A.ravel(), return_inverse=True)
+    residues = np.array([_residue(float(v), p) for v in values], dtype=float)
+    return residues[inverse].reshape(A.shape)
+
+
+class _Echelon:
+    """A reduced row echelon basis [I | F] over F_p on permuted coordinates.
+
+    ``perm[j]`` is the coordinate at position j; positions below ``rank``
+    are the pivots, and row i of ``F`` has its pivot at position i. Only the
+    free part ``F[:rank, rank:]`` is kept.
     """
-    return _project_once(Q, _project_once(Q, V))
+
+    def __init__(self, size: int, p: int):
+        self.p = p
+        self.rank = 0
+        self.perm = np.arange(size)
+        self.F = np.zeros((size, size))
+
+    def admit(self, W: np.ndarray) -> list[int]:
+        """Accept, in order, the rows of W that are new; return their indices.
+
+        W holds residues in the original coordinates, at most one block.
+        """
+        p, r = self.p, self.rank
+        W = W[:, self.perm]
+        R = W[:, r:]
+        if r:
+            R -= W[:, :r] @ self.F[:r, r:]
+            _reduce(R, p)
+        # Gauss-Jordan in candidate order: each accepted row is eliminated
+        # from every other row of the block, so a row still nonzero when its
+        # turn comes is new. A row is reduced only when its turn comes: each
+        # elimination adds at most ((p + 1)/2)^2 to an entry. A row that the
+        # basis already reduced to zero stays zero.
+        cols: list[int] = []  # each accepted row's pivot, relative to position r
+        taken: list[int] = []
+        for i in R.any(axis=1).nonzero()[0]:
+            w = R[i]
+            if taken:
+                _reduce(w, p)
+            nonzero = w.nonzero()[0]
+            if not nonzero.size:
+                continue
+            c = int(nonzero[0])
+            w *= pow(int(w[c]), -1, p)
+            _reduce(w, p)
+            factors = _reduce(R[:, c].copy(), p)
+            factors[i] = 0.0
+            R -= factors[:, None] * w
+            cols.append(c)
+            taken.append(int(i))
+        if taken:
+            self._extend(_reduce(R[taken], p), cols)
+        return taken
+
+    def _extend(self, B: np.ndarray, cols: list[int]) -> None:
+        """Append the rows B, pivoted at free positions rank + cols."""
+        p, r, k = self.p, self.rank, len(cols)
+        F = self.F
+        pos = r + np.array(cols)
+        if r:
+            F[:r, r:] -= F[:r, pos] @ B
+            _reduce(F[:r, r:], p)
+        F[r:r + k, r:] = B
+        # move the new pivots to positions r .. r + k - 1, in row order, and
+        # the free columns they displace to the positions they leave
+        vacated = pos[pos >= r + k]
+        kept = np.ones(k, dtype=bool)
+        kept[pos[pos < r + k] - r] = False
+        dest = np.concatenate([np.arange(r, r + k), vacated])
+        src = np.concatenate([pos, r + np.flatnonzero(kept)])
+        F[:r + k, dest] = F[:r + k, src]
+        self.perm[dest] = self.perm[src]
+        self.rank = r + k
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pivots and the echelon rows in the original coordinates."""
+        r, size = self.rank, len(self.perm)
+        E = np.zeros((r, size))
+        E[:, self.perm[:r]] = np.eye(r)
+        E[:, self.perm[r:]] = self.F[:r, r:]
+        return self.perm[:r].copy(), E
+
+
+def _close(
+    seed_A: np.ndarray, seed_names: list[str], p: int, max_rounds: int, passive: bool,
+) -> LieSubspace:
+    """The breadth-first closure of the seeds over F_p."""
+    k = len(seed_A)
+    n = seed_A.shape[-1] // 2
+    dim_full = full_dimension(n)
+    upper, lower = _upper_triangle(n)
+    seeds = _to_field(seed_A, p)
+    seeds_omega = seeds @ symplectic_form(n)  # a signed column permutation, exact
+    basis = _Echelon(dim_full, p)
+    names: list[str] = []
+
+    def admit(V: np.ndarray, name) -> np.ndarray:
+        """Admit candidate coordinates V block by block; the raw rows that entered."""
+        taken = []
+        for lo in range(0, len(V), _BLOCK):
+            if basis.rank == dim_full:
+                break
+            entered = [lo + i for i in basis.admit(V[lo:lo + _BLOCK])]
+            names.extend(name(i) for i in entered)
+            taken.extend(entered)
+        return V[taken]
+
+    def matrices(V: np.ndarray) -> np.ndarray:
+        M = np.empty((len(V), 4 * n * n))
+        M[:, upper] = V
+        M[:, lower] = V
+        return M.reshape(-1, 2 * n, 2 * n)
+
+    frontier = matrices(admit(seeds.reshape(k, -1)[:, upper], lambda i: seed_names[i]))
+    candidates = k
+    chunk = max(1, _BLOCK // k)  # frontier elements per block of candidates
+    depth = 0
+    start = 0  # index in names of the first frontier element
+    # nothing outside sp(2n, R) can appear once the basis is full
+    closed = basis.rank == dim_full or not len(frontier)
+    while not closed and depth < max_rounds:
+        next_start = len(names)
+        entered = []
+        for lo in range(0, len(frontier), chunk):
+            if basis.rank == dim_full:
+                break
+            P = (seeds_omega[None] @ frontier[lo:lo + chunk, None]).reshape(-1, 4 * n * n)
+            V = _reduce(P[:, upper] + P[:, lower], p)  # P + P^T, P = A_s Omega A_b
+            candidates += len(V)
+            base = start + lo
+            entered.append(
+                admit(V, lambda i: f"[{names[base + i // k]},{seed_names[i % k]}]")
+            )
+        frontier = matrices(np.concatenate(entered))
+        start = next_start
+        depth += 1
+        closed = basis.rank == dim_full or not len(frontier)
+
+    pivots, echelon = basis.rows()
+    for a in (pivots, echelon):
+        a.setflags(write=False)
+    return LieSubspace(
+        n=n,
+        prime=p,
+        sources=tuple(names),
+        pivots=pivots,
+        echelon=echelon,
+        closed=closed,
+        bracket_depth_reached=depth,
+        passive=passive,
+        candidates=candidates,
+    )
 
 
 def closure(
-    seeds: Iterable[QuadraticHamiltonian],
-    tol: float = DEFAULT_TOL,
-    max_rounds: int | None = None,
+    seeds: Iterable[QuadraticHamiltonian], max_rounds: int | None = None,
 ) -> LieSubspace:
     """Generate the Lie subalgebra spanned by repeated brackets of the seeds iH.
 
     Each basis element is named after its seed's label (``seed<i>`` when
-    the label is empty) or the bracket it came from.
-
-    Candidates are normalised before the independence test, so ``tol`` is a
-    relative threshold. Processing order is deterministic (largest residual
-    first, ties to the lower basis index, then seed index), making results
-    reproducible bit for bit.
+    the label is empty) or the bracket it came from. The dimension is exact
+    over F_p for the first prime of ``PRIMES`` that reaches the larger
+    count; see the module docstring for why full rank mod p proves full rank.
 
     An exhausted round budget is reported as ``closed=False``, not raised.
+    Raises ValueError, before any work, for an empty or mixed seed set and
+    for n > 127, where a product of residues could exceed 2^53.
     """
     seeds = list(seeds)
     if not seeds:
@@ -155,122 +303,33 @@ def closure(
     n = seeds[0].n
     if any(H.n != n for H in seeds):
         raise ValueError(f"mixed mode counts in seeds: {sorted({H.n for H in seeds})}")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     dim_full = full_dimension(n)
+    if dim_full * ((max(PRIMES) + 1) // 2) ** 2 >= 2 ** 53:
+        raise ValueError(f"exact closure is limited to n <= 127, got n = {n}")
     if max_rounds is None:
         max_rounds = 2 * dim_full
 
-    omega = symplectic_form(n)
     seed_A = np.array([_symmetric(H) for H in seeds])
     seed_names = [H.label or f"seed{i}" for i, H in enumerate(seeds)]
-    k = len(seeds)
-
-    Q = np.zeros((dim_full, dim_full))  # orthonormal rows, one per basis element
-    basis_A: list[np.ndarray] = []  # the normalised A of each basis element
-    names: list[str] = []
-    accepted: list[float] = []
-    rejected: list[float] = []
-    largest_rejected = 0.0
-
-    def reject(res: np.ndarray) -> None:
-        nonlocal largest_rejected
-        if res.size:
-            largest_rejected = max(largest_rejected, float(res.max()))
-            rejected.extend(res[res >= tol * _NEAR_TOL_WINDOW].tolist())
-
-    def admit(C: np.ndarray, zero_bound: np.ndarray, name) -> bool:
-        """Admit one round's candidates C, largest residual first; True if any entered."""
-        V = _coordinates(C)
-        norms = np.linalg.norm(V, axis=1)
-        live = np.flatnonzero(norms > zero_bound)
-        start = len(basis_A)
-        R = _project_once(Q[:start], V[live] / norms[live, None])
-        res = np.linalg.norm(R, axis=1)
-        # projection only shrinks a residual, so these can never enter
-        out = res <= tol
-        reject(res[out])
-        live, R = live[~out], _project_once(Q[:start], R[~out])
-        res = np.linalg.norm(R, axis=1)
-        while live.size and len(basis_A) < dim_full:
-            j = int(res.argmax())
-            if res[j] <= tol:
-                reject(res)
-                break
-            i, size = live[j], len(basis_A)
-            Q[size] = R[j] / res[j]
-            basis_A.append(C[i] / norms[i])
-            names.append(name(i))
-            accepted.append(float(res[j]))
-            R[j] = 0.0  # taken; its residual stays 0
-            R = _project_out(Q[size:size + 1], R)
-            res = np.linalg.norm(R, axis=1)
-        return len(basis_A) > start
-
-    admit(seed_A, np.zeros(k), lambda i: seed_names[i])
-
-    seed_A_omega = seed_A @ omega
-    seed_norms = np.linalg.norm(seed_A, axis=(1, 2))
-    zero_scale = _ZERO_BRACKET_FACTOR * (2 * n) * np.finfo(float).eps
-    closed = len(basis_A) >= dim_full
-    depth = 0
-    frontier = 0  # basis elements before this index were bracketed already
-    while not closed and depth < max_rounds:
-        hi = len(basis_A)
-        B = np.array(basis_A[frontier:hi])
-        P = seed_A_omega[None] @ B[:, None]  # (b, s) -> A_s Omega A_b
-        C = (P + P.swapaxes(-1, -2)).reshape(-1, 2 * n, 2 * n)
-        zero_bound = zero_scale * np.outer(np.linalg.norm(B, axis=(1, 2)), seed_norms).ravel()
-        added = admit(
-            C, zero_bound,
-            lambda i: f"[{names[frontier + i // k]},{seed_names[i % k]}]",
-        )
-        frontier = hi
-        depth += 1
-        # nothing outside sp(2n, R) can appear once the basis is full
-        closed = len(basis_A) >= dim_full or not added
-
-    matrices = np.array(basis_A).reshape(-1, 2 * n, 2 * n)
-    vectors = Q[:len(basis_A)].copy()
-    for a in (matrices, vectors):
-        a.setflags(write=False)
-    rejected.sort(reverse=True)
-    min_accepted = min(accepted) if accepted else None
-    rank_gap = None
-    if min_accepted is not None and largest_rejected > 0.0:
-        rank_gap = min_accepted / largest_rejected
-    return LieSubspace(
-        n=n,
-        matrices=matrices,
-        sources=tuple(names),
-        orthonormal_vectors=vectors,
-        closed=closed,
-        bracket_depth_reached=depth,
-        tol=tol,
-        rejected_residuals=tuple(rejected[:_MAX_REJECTED_KEPT]),
-        min_accepted_residual=min_accepted,
-        rank_gap=rank_gap,
-    )
+    omega = symplectic_form(n)
+    # u(n) is a subalgebra, and -Omega A Omega permutes and negates entries exactly
+    passive = all(np.array_equal(A, -(omega @ A @ omega)) for A in seed_A)
+    best = None
+    for p in PRIMES:
+        sub = _close(seed_A, seed_names, p, max_rounds, passive)
+        if best is None or sub.dimension > best.dimension:
+            best = sub
+        if best.full_rank:
+            break
+    return best
 
 
-def contains(sub: LieSubspace, H: QuadraticHamiltonian, tol: float = DEFAULT_TOL) -> bool:
-    """True iff iH lies in the span of the subspace, relatively to tol."""
+def contains(sub: LieSubspace, H: QuadraticHamiltonian) -> bool:
+    """True iff the residue of iH mod ``sub.prime`` lies in the span of the basis."""
     if H.n != sub.n:
         raise ValueError(f"mode count mismatch: subspace has {sub.n}, Hamiltonian has {H.n}")
-    v = _coordinates(_symmetric(H))
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        return True
-    res = np.linalg.norm(_project_out(sub.orthonormal_vectors, v / norm))
-    return bool(res <= tol)
-
-
-def passivity_check(sub: LieSubspace, tol: float = DEFAULT_TOL) -> bool:
-    """True iff every basis generator commutes with the symplectic form.
-
-    Passive (photon-number conserving) generators commute with Omega; the
-    passive subalgebra has dimension at most n^2.
-    """
-    omega = symplectic_form(sub.n)
-    # G Omega - Omega G = A + Omega A Omega for G = -A Omega, exactly
-    return all(np.linalg.norm(A + omega @ A @ omega) <= tol for A in sub.matrices)
+    v = _to_field(_symmetric(H), sub.prime).ravel()[_upper_triangle(sub.n)[0]]
+    if sub.dimension:
+        v -= v[sub.pivots] @ sub.echelon
+        _reduce(v, sub.prime)
+    return not v.any()

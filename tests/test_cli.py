@@ -434,17 +434,45 @@ def test_chain_passive_regime_reaches_n_squared(capsys, n):
     assert res["passive"] is True
 
 
-def test_closure_margins_in_chain_and_rank_reports(capsys):
+def test_closure_certificate_in_chain_and_rank_reports(capsys):
     code, out, _ = run_cli(capsys, "chain", "--n", "3")
     assert code == 0
-    chain_margins = report_of(out)["results"]["diagnostics"]["closure"]
+    chain_report = report_of(out)
     code, out, _ = run_cli(capsys, "rank", "--model", str(MODELS / "chain_n3.json"))
     assert code == 0
-    rank_margins = report_of(out)["results"]["diagnostics"]["closure"]
-    for margins in (chain_margins, rank_margins):
-        assert set(margins) == {"min_accepted_residual", "rank_gap"}
-        assert 1e-9 < margins["min_accepted_residual"] <= 1.0
-        assert margins["rank_gap"] > 1.0
+    rank_report = report_of(out)
+    for report in (chain_report, rank_report):
+        certificate = report["results"]["diagnostics"]["closure"]
+        assert certificate == {
+            "certificate": "exact_mod_p",
+            "prime": 1048573,
+            "candidates": certificate["candidates"],
+        }
+        assert 21 < certificate["candidates"] <= 3 + 3 * 21
+        assert "residual_spectrum" not in report["results"]
+    assert chain_report["tolerances"] == {"identity_tol": 1e-12}
+    assert rank_report["tolerances"] == {"max_rounds": 42}
+
+
+@pytest.mark.parametrize("command", ["rank", "chain"])
+def test_tol_flag_is_gone_from_rank_and_chain(capsys, command):
+    target = ["--model", str(MODELS / "chain_n3.json")] if command == "rank" else ["--n", "3"]
+    code, _, err = run_cli(capsys, command, *target, "--tol", "1e-9")
+    assert code == 2
+    assert "--tol" in err
+
+
+@pytest.mark.parametrize("g", ["0.05", "0.1", "0.15", "0.2"])
+@pytest.mark.parametrize("n", [8, 10, 12, 16])
+def test_chain_controllable_beyond_n7(capsys, n, g):
+    # the float closure said NOT_ESTABLISHED here at tol 1e-9; the rank
+    # decided over F_p is exact
+    code, out, _ = run_cli(capsys, "chain", "--n", str(n), "--g1", g, "--g2", g)
+    res = report_of(out)["results"]
+    assert code == 0
+    assert res["verdict"] == "CONTROLLABLE"
+    assert res["dimension"] == res["dimension_full"] == n * (2 * n + 1)
+    assert res["identities"]["all_pass"] is True
 
 
 def test_out_flag_writes_file(capsys, tmp_path):
@@ -480,7 +508,7 @@ def test_cached_parser_leaks_nothing_between_calls(capsys):
         ["chain", "--n", "3", "--h1-only"],
         ["chain", "--n", "3"],
         ["chain", "--n", "3", "--g2", "0.1", "--identities", "skip"],
-        ["rank", "--model", str(MODELS / "chain_n3.json"), "--tol", "1e-8"],
+        ["rank", "--model", str(MODELS / "chain_n3.json"), "--max-rounds", "3"],
         ["chain", "--n", "3"],
         ["rank", "--model", str(MODELS / "chain_n3.json")],
     ]
@@ -493,8 +521,8 @@ def test_cached_parser_leaks_nothing_between_calls(capsys):
         assert _without_wall_time(out) == _without_wall_time(alone_out)
     assert report_of(in_sequence[0][1])["inputs"]["h1_only"] is True
     assert report_of(in_sequence[1][1])["inputs"]["h1_only"] is False
-    assert report_of(in_sequence[4][1])["tolerances"]["closure_tol"] == 1e-9
-    assert report_of(in_sequence[5][1])["tolerances"]["tol"] == 1e-9
+    assert report_of(in_sequence[3][1])["tolerances"]["max_rounds"] == 3
+    assert report_of(in_sequence[5][1])["tolerances"]["max_rounds"] == 42
 
 
 def test_evolve_reports_deterministic_across_calls_and_blas_threads(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from oscontrol import (
     ChainSpec,
     QuadraticHamiltonian,
+    bracket_hamiltonians,
     build_chain,
     closure,
     contains,
@@ -14,10 +17,13 @@ from oscontrol import (
     generator,
     hop,
     number,
-    passivity_check,
     squeeze,
 )
-from oracles import brute_force_closure_rank, brute_force_closure_rank_mod_p, gram_rank
+from oscontrol.closure import PRIMES
+from oracles import brute_force_closure_rank, brute_force_closure_rank_mod_p
+
+# the package exports the function closure under the submodule's name
+closure_module = importlib.import_module("oscontrol.closure")
 
 G_GRID = (0.05, 0.1, 0.15, 0.2)
 
@@ -53,8 +59,8 @@ def test_chain_closure_dimension_with_gram_oracle(n, expected):
     assert sub.dimension == expected == full_dimension(n)
     assert sub.closed
     assert brute_force_closure_rank([generator(s) for s in seeds]) == expected
-    # the produced basis itself has full SVD rank
-    assert gram_rank(sub.matrices) == expected
+    # the produced basis is in reduced echelon form, so its rank is its row count
+    assert np.array_equal(sub.echelon[:, sub.pivots], np.eye(expected))
 
 
 def test_rank_criterion_reports():
@@ -91,7 +97,7 @@ def test_contains_basis_elements_and_orthogonal_directions():
     sq = from_terms(1, [squeeze(1, 1.0)])
     sub = closure([rot])
     assert contains(sub, rot)
-    assert contains(sub, QuadraticHamiltonian(1, sub.matrices[0]))
+    assert contains(sub, QuadraticHamiltonian(1, -0.375 * rot.A))
     assert not contains(sub, sq)
 
 
@@ -107,10 +113,10 @@ def test_passive_restriction_contains_distant_beam_splitter():
     n = 3
     model = build_chain(ChainSpec(n=n, g1=0.2, g2=0.0))
     sub = closure([model.drift, model.controls[0]])
-    assert passivity_check(sub, tol=1e-9)
+    assert sub.passive
     assert sub.dimension <= n * n
     bs_13 = from_terms(n, [hop(1, 3, 1.0)], label="bs13")
-    assert contains(sub, bs_13, tol=1e-9)
+    assert contains(sub, bs_13)
 
 
 @pytest.mark.parametrize("n", range(3, 11))
@@ -119,12 +125,14 @@ def test_passive_chain_reaches_n_squared(n):
     model = build_chain(ChainSpec(n=n, g1=0.2, g2=0.0))
     sub = closure([model.drift, model.controls[0]])
     assert sub.dimension == n * n
-    assert passivity_check(sub, tol=1e-9)
+    assert sub.passive
 
 
 def test_passivity_check_examples():
+    # passivity is read off the seeds: u(n) is a subalgebra, so the closure
+    # is passive exactly when every seed commutes with Omega
     rotations = [from_terms(2, [number(j, 1.0)]) for j in (1, 2)]
-    assert passivity_check(closure(rotations))
+    assert closure(rotations).passive
 
     full = closure(
         [
@@ -132,27 +140,25 @@ def test_passivity_check_examples():
             from_terms(1, [squeeze(1, 1.0)]),
         ]
     )
-    assert not passivity_check(full)
+    assert not full.passive
+    # one squeeze among passive seeds makes the whole algebra active
+    assert not closure([rotations[0], from_terms(2, [squeeze(2, 1e-300)])]).passive
 
 
 def test_closure_basis_stays_in_sp():
-    # G = -A Omega is in sp(2n, R) exactly when A is symmetric, and the
-    # basis matrices are brackets P + P^T, symmetric with no rounding
+    # a coordinate vector holds the upper triangle of a symmetric A, so every
+    # basis element is some G = -A Omega in sp(2n, R); the rows are residues
+    # mod the prime, centred
     sub = closure(_chain_seeds(3, 0.2, 0.2))
-    for A in sub.matrices:
-        assert np.array_equal(A, A.T)
+    assert sub.echelon.shape == (sub.dimension, full_dimension(3))
+    assert np.array_equal(sub.echelon, np.rint(sub.echelon))
+    assert np.max(np.abs(sub.echelon)) <= (sub.prime + 1) // 2
 
 
 def test_closure_dimension_never_exceeds_full():
     for n in (1, 2, 3, 4):
         sub = closure(_chain_seeds(n, 0.2, 0.2))
         assert sub.dimension <= full_dimension(n)
-
-
-def test_orthonormal_vectors_are_orthonormal():
-    sub = closure(_chain_seeds(2, 0.2, 0.2))
-    Q = sub.orthonormal_vectors
-    assert np.linalg.norm(Q @ Q.T - np.eye(sub.dimension)) <= 1e-10
 
 
 @settings(max_examples=15, deadline=None)
@@ -176,9 +182,15 @@ def test_closure_invariant_under_seed_recombination(seed, n):
     assert closure(mixed).dimension == base_dim
 
 
-def test_closure_tolerance_stable_over_a_decade():
-    seeds = _chain_seeds(3, 0.2, 0.2)
-    assert closure(seeds, tol=1e-9).dimension == closure(seeds, tol=1e-10).dimension
+def test_zero_seeds_close_at_dimension_zero():
+    # a zero Hamiltonian generates nothing; this once raised from an empty
+    # frontier
+    zero = QuadraticHamiltonian(2, np.zeros((4, 4)))
+    sub = closure([zero, zero])
+    assert (sub.dimension, sub.closed, sub.bracket_depth_reached) == (0, True, 0)
+    assert sub.passive
+    assert contains(sub, zero)
+    assert not contains(sub, from_terms(2, [number(1, 1.0)]))
 
 
 def test_closure_max_rounds_exhaustion_is_flagged_not_raised():
@@ -192,8 +204,6 @@ def test_closure_max_rounds_exhaustion_is_flagged_not_raised():
 def test_closure_input_validation():
     with pytest.raises(ValueError):
         closure([])
-    with pytest.raises(ValueError):
-        closure(_chain_seeds(2, 0.2, 0.2), tol=-1.0)
     mixed = [from_terms(1, [number(1, 1.0)]), from_terms(2, [number(1, 1.0)])]
     with pytest.raises(ValueError):
         closure(mixed)
@@ -204,21 +214,26 @@ def test_closure_is_deterministic():
     a = closure(seeds)
     b = closure(seeds)
     assert a.dimension == b.dimension
-    assert np.array_equal(a.orthonormal_vectors, b.orthonormal_vectors)
-    assert np.array_equal(a.matrices, b.matrices)
+    assert np.array_equal(a.pivots, b.pivots)
+    assert np.array_equal(a.echelon, b.echelon)
     assert a.sources == b.sources
+
+
+def _integer_multiple(M):
+    """M times the largest denominator of its entries, a power of two."""
+    scaled = M * float(max(float(v).as_integer_ratio()[1] for v in np.ravel(M)))
+    assert np.array_equal(scaled, np.rint(scaled))
+    return scaled
 
 
 @pytest.mark.parametrize("g", G_GRID)
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_closure_dimension_matches_exact_modular_oracle(n, g):
-    # every g on the grid is k/20, so 20 G is an integer matrix spanning the
-    # same line; the float oracle at its default rtol finds 35 at n = 4,
-    # g = 0.05, where the exact count is 36
+    # a float64 is m 2^e, so 2^k G is an integer matrix spanning the same
+    # line as G, exactly; the float oracle at its default rtol finds 35 at
+    # n = 4, g = 0.05, where the exact count is 36
     seeds = _chain_seeds(n, g, g)
-    integer_seeds = [np.rint(20.0 * generator(s)) for s in seeds]
-    for s, M in zip(seeds, integer_seeds):
-        assert np.allclose(20.0 * generator(s), M, rtol=0.0, atol=1e-12)
+    integer_seeds = [_integer_multiple(generator(s)) for s in seeds]
     exact = brute_force_closure_rank_mod_p(integer_seeds)
     assert closure(seeds).dimension == exact == full_dimension(n)
 
@@ -232,37 +247,61 @@ def test_single_seed_closes_at_dimension_one(n, g):
     sub = closure([drift])
     assert sub.dimension == 1
     assert sub.closed
-    assert sub.rank_gap is None
+    assert sub.candidates == 2  # the seed and its bracket with itself, exactly zero
+    assert sub.prime == PRIMES[0]  # the retry with the second prime found no more
 
 
 @pytest.mark.parametrize("n,g", [(2, 0.2), (4, 0.05), (6, 0.2)])
 def test_basis_elements_are_in_sp_and_contained(n, g):
-    sub = closure(_chain_seeds(n, g, g))
-    assert sub.orthonormal_vectors.shape == (sub.dimension, n * (2 * n + 1))
-    assert sub.matrices.shape == (sub.dimension, 2 * n, 2 * n)
-    for A in sub.matrices:
-        assert np.array_equal(A, A.T)
-        assert contains(sub, QuadraticHamiltonian(n, A))
+    seeds = _chain_seeds(n, g, g)
+    sub = closure(seeds)
+    assert sub.pivots.shape == (sub.dimension,)
+    assert sub.echelon.shape == (sub.dimension, n * (2 * n + 1))
+    assert np.array_equal(sub.echelon[:, sub.pivots], np.eye(sub.dimension))
+    for H in seeds:
+        assert contains(sub, H)
+    # brackets of basis elements stay inside: the span is closed
+    for a, b in [(0, 1), (1, 2), (0, 2)]:
+        assert contains(sub, bracket_hamiltonians(seeds[a], seeds[b]))
 
 
-def test_contains_uses_frobenius_geometry():
-    # the off-diagonal coordinates carry sqrt(2): a generator at relative
-    # distance d from the span has residual d, whatever entries it touches
+def test_contains_is_exact():
+    # membership mod p has no tolerance: a hop 1e-8 the size of the rotation
+    # is outside the rotation's line, and an exact multiple is inside
     rot = from_terms(2, [number(1, 1.0)])
     sub = closure([rot])
     off = from_terms(2, [hop(1, 2, 1e-8)])
-    mixed = QuadraticHamiltonian(2, rot.A + off.A)
-    # ||A||_F = ||G||_F, so the relative distance is the same for either
-    rel = np.linalg.norm(off.A) / np.linalg.norm(mixed.A)
-    assert not contains(sub, mixed, tol=0.99 * rel)
-    assert contains(sub, mixed, tol=1.01 * rel)
+    assert not contains(sub, QuadraticHamiltonian(2, rot.A + off.A))
+    assert contains(sub, QuadraticHamiltonian(2, 3.0 * rot.A))
+    assert contains(sub, QuadraticHamiltonian(2, np.zeros((4, 4))))
 
 
-def test_closure_margins_recorded():
+def test_closure_certificate_recorded():
     sub = closure(_chain_seeds(3, 0.2, 0.2))
-    assert sub.min_accepted_residual is not None
-    assert sub.tol < sub.min_accepted_residual <= 1.0
-    assert sub.rank_gap is not None and sub.rank_gap > 1.0
-    # a rejected candidate sits at or below tol, so the gap is at least
-    # min_accepted / tol
-    assert sub.rank_gap >= sub.min_accepted_residual / sub.tol
+    assert sub.prime == PRIMES[0]
+    assert sub.full_rank and sub.closed
+    # seeds, then three brackets for each element accepted before full rank
+    assert sub.dimension < sub.candidates <= 3 + 3 * sub.dimension
+
+
+def test_unlucky_prime_is_retried_with_the_second(monkeypatch):
+    # 1048573 squeeze(1) is zero mod the first prime, not mod the second
+    seeds = [
+        from_terms(1, [number(1, 1.0)]),
+        from_terms(1, [squeeze(1, float(PRIMES[0]))]),
+    ]
+    with monkeypatch.context() as m:
+        m.setattr(closure_module, "PRIMES", PRIMES[:1])
+        first = closure(seeds)
+    assert (first.dimension, first.prime) == (1, PRIMES[0])
+    sub = closure(seeds)
+    assert sub.dimension == 3
+    assert sub.prime == PRIMES[1]
+    assert sub.full_rank
+
+
+def test_exactness_guard_rejects_n_beyond_127():
+    # n(2n+1) ((p + 1)/2)^2 must stay below 2^53 for every product to be exact
+    with pytest.raises(ValueError, match="n <= 127"):
+        closure([from_terms(128, [number(1, 1.0)])])
+
