@@ -12,7 +12,7 @@ import argparse
 import itertools
 import time
 
-from oscontrol import ChainSpec, TripleParams, controllability_report
+from oscontrol import ChainSpec, TripleParams, controllability_report, full_dimension
 
 
 def main():
@@ -32,8 +32,8 @@ def main():
         elapsed = time.perf_counter() - started
         pos = f"{'y' if rep.positivity.sufficient else 'n'}/{'y' if rep.positivity.actual else 'n'}"
         print(
-            f"{n:>3} {g:>6.2f} {g:>6.2f} {rep.dimension:>5} {rep.dimension_full:>5} "
-            f"{pos:>14} {'ok' if rep.triple_ok else 'no':>7} {rep.verdict:>16} "
+            f"{n:>3} {g:>6.2f} {g:>6.2f} {rep.subspace.dimension:>5} {full_dimension(n):>5} "
+            f"{pos:>14} {'ok' if rep.triple_message is None else 'no':>7} {rep.verdict:>16} "
             f"{rep.subspace.prime:>8} {elapsed:>7.3f}"
         )
 

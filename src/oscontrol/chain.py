@@ -18,7 +18,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 import numpy as np
 
 from . import hamiltonians as ham
-from .closure import LieSubspace, closure, full_dimension
+from .closure import LieSubspace, closure
 from .evolution import ControlModel
 from .hamiltonians import QuadraticHamiltonian
 from .symplectic import commutator
@@ -473,29 +473,21 @@ VERDICT_NOT_ESTABLISHED = "NOT_ESTABLISHED"
 class ControllabilityReport:
     """End-to-end verdict for a chain spec.
 
-    CONTROLLABLE: rank criterion met and the generating triple validated
-    positive definite. The triple's closure is not recomputed: the triple is
-    an invertible recombination of {H0, H1, H2} and a Lie closure depends
-    only on the span of its seeds, so ``triple_dimension`` equals
-    ``dimension`` whenever ``triple_ok``. RANK_ONLY: rank met but no triple
-    validated. NOT_ESTABLISHED: rank not met; ``passive`` then records
-    whether the closure stayed number conserving (``LieSubspace.passive``).
+    CONTROLLABLE: rank criterion met (``subspace.full_rank``) and the
+    generating triple validated positive definite (``triple_message`` is
+    None). The triple's closure is not recomputed: the triple is an
+    invertible recombination of {H0, H1, H2} and a Lie closure depends only
+    on the span of its seeds, so it equals ``subspace``. RANK_ONLY: rank met
+    but no triple validated; ``triple_message`` says why. NOT_ESTABLISHED:
+    rank not met.
     """
 
     spec: ChainSpec
     triple_params: TripleParams
-    dimension: int
-    dimension_full: int
-    rank_met: bool
-    closed: bool
-    bracket_depth: int
-    positivity: PositivityCheck
-    triple_ok: bool
-    triple_message: Optional[str]
-    triple_dimension: Optional[int]
-    passive: Optional[bool]
-    verdict: str
     subspace: LieSubspace
+    positivity: PositivityCheck
+    triple_message: Optional[str]
+    verdict: str
 
 
 def controllability_report(
@@ -512,25 +504,17 @@ def controllability_report(
     controls = model.controls if include_squeeze_control else model.controls[:1]
     sub = closure([model.drift, *controls])
     drift_eigenvalues = np.linalg.eigvalsh(model.drift.A)
-    positivity = _positivity(spec, drift_eigenvalues)
 
-    triple_ok = False
     triple_message: Optional[str] = None
-    triple_dimension: Optional[int] = None
-    if include_squeeze_control:
+    if not include_squeeze_control:
+        triple_message = "triple not attempted: squeeze control excluded"
+    else:
         try:
             _triple(spec, params, model, drift_eigenvalues)
         except ValueError as exc:
             triple_message = str(exc)
-        else:
-            # the triple is {H0, H1, H2} recombined with determinant
-            # alpha * delta != 0, and a closure depends only on the seeds' span
-            triple_ok = True
-            triple_dimension = sub.dimension
-    else:
-        triple_message = "triple not attempted: squeeze control excluded"
 
-    if sub.full_rank and triple_ok:
+    if sub.full_rank and triple_message is None:
         verdict = VERDICT_CONTROLLABLE
     elif sub.full_rank:
         verdict = VERDICT_RANK_ONLY
@@ -540,16 +524,8 @@ def controllability_report(
     return ControllabilityReport(
         spec=spec,
         triple_params=params,
-        dimension=sub.dimension,
-        dimension_full=full_dimension(spec.n),
-        rank_met=sub.full_rank,
-        closed=sub.closed,
-        bracket_depth=sub.bracket_depth_reached,
-        positivity=positivity,
-        triple_ok=triple_ok,
-        triple_message=triple_message,
-        triple_dimension=triple_dimension,
-        passive=None if sub.full_rank else sub.passive,
-        verdict=verdict,
         subspace=sub,
+        positivity=_positivity(spec, drift_eigenvalues),
+        triple_message=triple_message,
+        verdict=verdict,
     )

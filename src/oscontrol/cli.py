@@ -21,7 +21,8 @@ import numpy as np
 
 from . import __version__
 from .chain import (
-    ChainSpec, TripleParams, controllability_report, identity_suite_unmet, verify_bracket_identities,
+    VERDICT_CONTROLLABLE, ChainSpec, TripleParams, controllability_report, identity_suite_unmet,
+    verify_bracket_identities,
 )
 from .closure import closure, full_dimension
 from .documents import (
@@ -51,20 +52,17 @@ def _complex_pairs(values) -> list:
     return [[float(v.real), float(v.imag)] for v in values]
 
 
-def _finish(report: dict, started: float, out_path) -> None:
-    report["wall_time_s"] = time.perf_counter() - started
-    write_report(report, out_path)
-
-
-def _base_report(command: str, digest: str, tolerances: dict, echo: dict) -> dict:
-    return {
-        "command": command,
-        "input_digest": digest,
-        "tool_version": __version__,
-        "tolerances": tolerances,
-        "inputs": echo,
-        "results": {},
-    }
+def _header(report: dict, command: str, digest: str, tolerances: dict, echo: dict) -> dict:
+    """Fill the report's header; return its empty ``results`` for the command to fill."""
+    report.update(
+        command=command,
+        input_digest=digest,
+        tool_version=__version__,
+        tolerances=tolerances,
+        inputs=echo,
+        results={},
+    )
+    return report["results"]
 
 
 def _analysis_error(exc: AnalysisError) -> dict:
@@ -78,6 +76,17 @@ def _analysis_error(exc: AnalysisError) -> dict:
     return {"kind": "numerical", "message": str(exc)}
 
 
+def _closure_results(sub) -> dict:
+    """The closure's dimension, the rank criterion and how far the brackets went."""
+    return {
+        "dimension": sub.dimension,
+        "dimension_full": full_dimension(sub.n),
+        "rank_criterion_met": sub.full_rank,
+        "closed": sub.closed,
+        "bracket_depth": sub.bracket_depth_reached,
+    }
+
+
 def _closure_diagnostics(sub) -> dict:
     """How the closure's dimension was certified, and the work it took."""
     return {
@@ -89,47 +98,32 @@ def _closure_diagnostics(sub) -> dict:
     }
 
 
-def cmd_rank(args) -> int:
-    started = time.perf_counter()
+def cmd_rank(args, report: dict) -> int:
     model_doc = ModelDocument.from_path(args.model)
     model = model_doc.control_model()
-    dim_full = full_dimension(model.n)
-    max_rounds = args.max_rounds if args.max_rounds is not None else 2 * dim_full
-    sub = closure([model.drift, *model.controls], max_rounds=max_rounds)
-    report = _base_report(
-        "rank",
-        file_digest(args.model),
-        {"max_rounds": max_rounds},
+    max_rounds = args.max_rounds if args.max_rounds is not None else 2 * full_dimension(model.n)
+    results = _header(
+        report, "rank", file_digest(args.model), {"max_rounds": max_rounds},
         {"model": str(args.model), "drift": model_doc.drift, "controls": list(model_doc.controls)},
     )
-    results = {
-        "dimension": sub.dimension,
-        "dimension_full": dim_full,
-        "rank_criterion_met": sub.full_rank,
-        "closed": sub.closed,
-        "bracket_depth": sub.bracket_depth_reached,
-    }
+    sub = closure([model.drift, *model.controls], max_rounds=max_rounds)
+    results.update(_closure_results(sub))
     if not sub.full_rank:
         results["passive"] = sub.passive
     results["diagnostics"] = _closure_diagnostics(sub)
-    report["results"] = results
-    _finish(report, started, args.out)
     return 0 if sub.full_rank else 1
 
 
-def cmd_williamson(args) -> int:
-    started = time.perf_counter()
+def cmd_williamson(args, report: dict) -> int:
     model_doc = ModelDocument.from_path(args.model)
     name = args.hamiltonian or model_doc.drift
     H = model_doc.hamiltonian(name)
-    report = _base_report(
-        "williamson",
-        file_digest(args.model),
-        {"residual_tol": args.tol},
+    results = _header(
+        report, "williamson", file_digest(args.model), {"residual_tol": args.tol},
         {"model": str(args.model), "hamiltonian": name},
     )
     cert = spectrum_certificate(H)
-    report["results"]["spectrum_certificate"] = {
+    results["spectrum_certificate"] = {
         "eigenvalues_re_im": _complex_pairs(cert.eigenvalues),
         "max_real_part": cert.max_real_part,
         "diagonalizable": cert.diagonalizable,
@@ -137,31 +131,17 @@ def cmd_williamson(args) -> int:
         if np.isfinite(cert.diagonalizer_condition)
         else None,
     }
-    try:
-        dec = williamson_decompose(H, tol=args.tol)
-    except AnalysisError as exc:
-        report["results"]["error"] = _analysis_error(exc)
-        _finish(report, started, args.out)
-        return 1
-    report["results"].update(
-        {
-            "nu": [float(v) for v in dec.nu],
-            "V": _matrix(dec.V),
-            "residual": dec.residual,
-        }
-    )
-    _finish(report, started, args.out)
+    dec = williamson_decompose(H, tol=args.tol)
+    results.update(nu=[float(v) for v in dec.nu], V=_matrix(dec.V), residual=dec.residual)
     return 0
 
 
-def cmd_recur(args) -> int:
-    started = time.perf_counter()
+def cmd_recur(args, report: dict) -> int:
     model_doc = ModelDocument.from_path(args.model)
     name = args.hamiltonian or model_doc.drift
     H = model_doc.hamiltonian(name)
-    report = _base_report(
-        "recur",
-        file_digest(args.model),
+    results = _header(
+        report, "recur", file_digest(args.model),
         {"epsilon": args.epsilon, "grid_points_per_period": args.grid_points},
         {
             "model": str(args.model),
@@ -180,27 +160,20 @@ def cmd_recur(args) -> int:
         )
     except ValueError as exc:
         raise DocumentError(f"recurrence query: {exc}") from exc
-    try:
-        result = find_recurrence(query)
-    except AnalysisError as exc:
-        report["results"]["error"] = _analysis_error(exc)
-        _finish(report, started, args.out)
-        return 1
-    report["results"] = {
-        "found": result.found,
-        "tau": result.tau,
-        "achieved_distance": result.achieved_distance,
-        "mode_distance_at_tau": result.mode_distance_at_tau,
-        "K": result.conditioning,
-        "best_distance_seen": result.best_distance_seen,
-        "nu": list(result.nu),
-    }
-    _finish(report, started, args.out)
+    result = find_recurrence(query)
+    results.update(
+        found=result.found,
+        tau=result.tau,
+        achieved_distance=result.achieved_distance,
+        mode_distance_at_tau=result.mode_distance_at_tau,
+        K=result.conditioning,
+        best_distance_seen=result.best_distance_seen,
+        nu=list(result.nu),
+    )
     return 0  # horizon exhaustion is an honest negative, still exit 0
 
 
-def cmd_evolve(args) -> int:
-    started = time.perf_counter()
+def cmd_evolve(args, report: dict) -> int:
     model_doc = ModelDocument.from_path(args.model)
     schedule_doc = ScheduleDocument.from_path(args.schedule)
     model = model_doc.control_model()
@@ -210,10 +183,8 @@ def cmd_evolve(args) -> int:
             f"initial_covariance: expected shape ({2*model.n}, {2*model.n}), got {sigma.shape}"
         )
     S = propagate(model, schedule_doc.schedule)
-    report = _base_report(
-        "evolve",
-        file_digest(args.model),
-        {"covariance_symplectic_tol": 1e-8},
+    results = _header(
+        report, "evolve", file_digest(args.model), {"covariance_symplectic_tol": 1e-8},
         {
             "model": str(args.model),
             "schedule": str(args.schedule),
@@ -221,25 +192,18 @@ def cmd_evolve(args) -> int:
             "segments": len(schedule_doc.schedule.segments),
         },
     )
-    report["results"] = {
-        "S": _matrix(S),
-        "symplecticity_audit": audit_symplecticity(S),
-        "total_duration": schedule_doc.schedule.total_duration,
-    }
+    results.update(
+        S=_matrix(S),
+        symplecticity_audit=audit_symplecticity(S),
+        total_duration=schedule_doc.schedule.total_duration,
+    )
     if sigma is not None:
-        try:
-            state = evolve_covariance(CovarianceState(sigma), S)
-        except AnalysisError as exc:
-            report["results"]["error"] = _analysis_error(exc)
-            _finish(report, started, args.out)
-            return 1
-        report["results"]["final_covariance"] = _matrix(state.sigma)
-    _finish(report, started, args.out)
+        state = evolve_covariance(CovarianceState(sigma), S)
+        results["final_covariance"] = _matrix(state.sigma)
     return 0
 
 
-def cmd_chain(args) -> int:
-    started = time.perf_counter()
+def cmd_chain(args, report: dict) -> int:
     spec = ChainSpec(
         n=args.n, omega=args.omega, g1=args.g1, g2=args.g2,
         omega1=args.omega1, chi=args.chi,
@@ -249,8 +213,7 @@ def cmd_chain(args) -> int:
     if args.h1_only:
         unmet.append("the squeeze control (--h1-only excludes it)")
     if args.identities == "require" and unmet:
-        print(f"error: identity suite needs {'; '.join(unmet)}", file=sys.stderr)
-        return 2
+        raise ValueError(f"identity suite needs {'; '.join(unmet)}")
 
     echo = {
         "n": spec.n, "omega": spec.omega, "g1": spec.g1, "g2": spec.g2,
@@ -258,33 +221,29 @@ def cmd_chain(args) -> int:
         "alpha": params.alpha, "beta": params.beta, "delta": params.delta,
         "h1_only": bool(args.h1_only),
     }
-    report = _base_report(
-        "chain",
-        data_digest(echo),
-        {"identity_tol": args.identity_tol},
-        echo,
-    )
+    results = _header(report, "chain", data_digest(echo), {"identity_tol": args.identity_tol}, echo)
     rep = controllability_report(spec, params, include_squeeze_control=not args.h1_only)
-    results = {
-        "verdict": rep.verdict,
-        "dimension": rep.dimension,
-        "dimension_full": rep.dimension_full,
-        "rank_criterion_met": rep.rank_met,
-        "closed": rep.closed,
-        "bracket_depth": rep.bracket_depth,
-        "positivity": {
-            "sufficient": rep.positivity.sufficient,
-            "actual": rep.positivity.actual,
-            "min_eigenvalue": rep.positivity.min_eigenvalue,
-        },
-        "triple": {
-            "ok": rep.triple_ok,
-            "closure_dimension": rep.triple_dimension,
-            "message": rep.triple_message,
-        },
-        "passive": rep.passive,
-        "diagnostics": _closure_diagnostics(rep.subspace),
-    }
+    sub = rep.subspace
+    triple_ok = rep.triple_message is None
+    results.update(
+        {
+            "verdict": rep.verdict,
+            **_closure_results(sub),
+            "positivity": {
+                "sufficient": rep.positivity.sufficient,
+                "actual": rep.positivity.actual,
+                "min_eigenvalue": rep.positivity.min_eigenvalue,
+            },
+            "triple": {
+                "ok": triple_ok,
+                # a closure depends only on its seeds' span, which the triple shares
+                "closure_dimension": sub.dimension if triple_ok else None,
+                "message": rep.triple_message,
+            },
+            "passive": None if sub.full_rank else sub.passive,
+            "diagnostics": _closure_diagnostics(sub),
+        }
+    )
     identities_ok = True
     if not unmet and args.identities != "skip":
         id_report = verify_bracket_identities(spec, tol=args.identity_tol)
@@ -296,9 +255,7 @@ def cmd_chain(args) -> int:
                 {"name": r.name, "residual": r.residual} for r in id_report.records
             ],
         }
-    report["results"] = results
-    _finish(report, started, args.out)
-    return 0 if rep.verdict == "CONTROLLABLE" and identities_ok else 1
+    return 0 if rep.verdict == VERDICT_CONTROLLABLE and identities_ok else 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -369,13 +326,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: the one place a report is timed, completed and written.
+
+    ``cmd_*(args, report)`` fills ``report`` and returns the exit code. An
+    ``AnalysisError`` raised once the header exists becomes ``results.error``
+    and exit 1, keeping the results already filled; any other ``OSError`` or
+    ``ValueError`` is exit 2 with no report.
+    """
+    args = _build_parser().parse_args(argv)
+    started = time.perf_counter()
+    report: dict = {}
     try:
-        return args.func(args)
+        try:
+            code = args.func(args, report)
+        except AnalysisError as exc:
+            if not report:  # no header yet: nothing was analysed
+                raise
+            report["results"]["error"] = _analysis_error(exc)
+            code = 1
+        report["wall_time_s"] = time.perf_counter() - started
+        write_report(report, args.out)
     except (OSError, ValueError) as exc:  # DocumentError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

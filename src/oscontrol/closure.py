@@ -5,9 +5,11 @@ odd prime p is a ring homomorphism from Z[1/2] onto F_p that commutes with
 brackets. The closure of the reduced seeds is therefore the reduction of the
 rational closure of the seeds exactly as given, and its dimension over F_p
 is at most the dimension of the real closure. Full rank mod p proves full
-rank, with no tolerance anywhere. A closure that stops short of n(2n+1) is
-run once more with a second prime, since an unlucky prime can only lower the
-count; the larger dimension is reported, with the prime that reached it.
+rank, with no tolerance anywhere. A closure that stops short of its upper
+bound is run once more with a second prime, since an unlucky prime can only
+lower the count; the larger dimension is reported, with the prime that
+reached it. The bound is n(2n+1), or n^2 when every seed is passive: the
+algebra then lies in u(n), so a count of n^2 cannot grow and is not rerun.
 
 Arithmetic. Residues are held centred, |x| <= (p + 1)/2, in float64, and
 reduced as x - p rint(x / p). With p = 2^20 - 3 a dot product of up to
@@ -314,12 +316,13 @@ def closure(
     omega = symplectic_form(n)
     # u(n) is a subalgebra, and -Omega A Omega permutes and negates entries exactly
     passive = all(np.array_equal(A, -(omega @ A @ omega)) for A in seed_A)
+    bound = n * n if passive else dim_full
     best = None
     for p in PRIMES:
         sub = _close(seed_A, seed_names, p, max_rounds, passive)
         if best is None or sub.dimension > best.dimension:
             best = sub
-        if best.full_rank:
+        if best.dimension == bound:
             break
     return best
 

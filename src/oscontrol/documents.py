@@ -77,6 +77,14 @@ def _as_matrix(value: Any, dim: int, path: str) -> np.ndarray:
     return np.array(rows)
 
 
+def _load_json(path) -> Any:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DocumentError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+
+
 _TERM_KINDS = ("number", "hop", "pair", "squeeze", "generic")
 
 
@@ -197,12 +205,7 @@ class ModelDocument:
 
     @classmethod
     def from_path(cls, path) -> "ModelDocument":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DocumentError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-        return cls.from_document(data)
+        return cls.from_document(_load_json(path))
 
     def hamiltonian(self, name: str) -> QuadraticHamiltonian:
         if name not in self.hamiltonians:
@@ -283,12 +286,7 @@ class ScheduleDocument:
 
     @classmethod
     def from_path(cls, path) -> "ScheduleDocument":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DocumentError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-        return cls.from_document(data)
+        return cls.from_document(_load_json(path))
 
     def to_document(self) -> dict:
         doc: dict = {

@@ -183,12 +183,11 @@ def test_controllability_report_canonical(n):
     spec = ChainSpec(n=n, omega=1.0, g1=0.2, g2=0.2)
     rep = controllability_report(spec)
     assert rep.verdict == "CONTROLLABLE"
-    assert rep.dimension == full_dimension(n)
-    assert rep.rank_met
-    assert rep.triple_ok
-    assert rep.triple_dimension == rep.dimension
+    assert rep.subspace.dimension == full_dimension(n)
+    assert rep.subspace.full_rank
+    assert rep.triple_message is None
     assert rep.positivity.sufficient and rep.positivity.actual
-    assert rep.passive is None
+    assert not rep.subspace.passive
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -196,10 +195,10 @@ def test_controllability_report_rotation_only_is_passive(n):
     spec = ChainSpec(n=n, omega=1.0, g1=0.2, g2=0.0)
     rep = controllability_report(spec, include_squeeze_control=False)
     assert rep.verdict == "NOT_ESTABLISHED"
-    assert not rep.rank_met
-    assert rep.passive is True
-    assert not rep.triple_ok and rep.triple_dimension is None
-    assert rep.dimension <= n * n
+    assert not rep.subspace.full_rank
+    assert rep.subspace.passive is True
+    assert rep.triple_message == "triple not attempted: squeeze control excluded"
+    assert rep.subspace.dimension <= n * n
 
 
 @pytest.mark.parametrize("g1,g2", [(0.2, 0.1), (0.3, 0.05), (0.2, 0.0)])
@@ -208,10 +207,10 @@ def test_general_couplings_reach_full_rank(g1, g2):
     # rotating-wave cases are established numerically through the closure
     for n in (2, 3):
         rep = controllability_report(ChainSpec(n=n, omega=1.0, g1=g1, g2=g2))
-        assert rep.rank_met
-        assert rep.dimension == full_dimension(n)
+        assert rep.subspace.full_rank
+        assert rep.subspace.dimension == full_dimension(n)
         assert rep.verdict == "CONTROLLABLE"
-        assert rep.triple_ok and rep.triple_dimension == rep.dimension
+        assert rep.triple_message is None
 
 
 def test_controllability_report_strong_coupling_rank_only():
@@ -219,11 +218,10 @@ def test_controllability_report_strong_coupling_rank_only():
     # so no positive-definite triple can be validated
     spec = ChainSpec(n=3, omega=1.0, g1=0.4, g2=0.4)
     rep = controllability_report(spec)
-    assert rep.rank_met
-    assert not rep.triple_ok
+    assert rep.subspace.full_rank
+    assert rep.triple_message is not None
     assert rep.verdict == "RANK_ONLY"
     assert "positive definite" in rep.triple_message
-    assert rep.triple_dimension is None
 
 
 @pytest.mark.parametrize("g", [0.15, 0.2])
@@ -232,7 +230,8 @@ def test_controllability_report_n7_is_controllable(g):
     # float closure of the triple once stopped at 104 or 103 here
     rep = controllability_report(ChainSpec(n=7, omega=1.0, g1=g, g2=g))
     assert rep.verdict == "CONTROLLABLE"
-    assert rep.dimension == rep.triple_dimension == full_dimension(7) == 105
+    assert rep.triple_message is None
+    assert rep.subspace.dimension == full_dimension(7) == 105
 
 
 # the float closure lost rank at (6, 0.05), (7, 0.05) and (7, 0.1); the
@@ -244,4 +243,4 @@ CONTROLLABLE_GRID = [(n, g) for n in range(2, 8) for g in (0.05, 0.1, 0.15, 0.2)
 def test_controllable_verdicts_pinned(n, g):
     rep = controllability_report(ChainSpec(n=n, omega=1.0, g1=g, g2=g))
     assert rep.verdict == "CONTROLLABLE"
-    assert rep.dimension == full_dimension(n)
+    assert rep.subspace.dimension == full_dimension(n)

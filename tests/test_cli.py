@@ -154,6 +154,60 @@ def test_recur_analysis_error_exits_one_as_numerical(capsys, monkeypatch):
     }
 
 
+CLOSURE_COMMANDS = {
+    "rank": ("oscontrol.cli.closure", ["--model", str(MODELS / "chain_n3.json")]),
+    "chain": ("oscontrol.cli.controllability_report", ["--n", "3"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLOSURE_COMMANDS))
+def test_closure_analysis_error_exits_one_as_numerical(capsys, monkeypatch, tmp_path, command):
+    def boom(*args, **kwargs):
+        raise AnalysisError("boom")
+
+    target, argv = CLOSURE_COMMANDS[command]
+    monkeypatch.setattr(target, boom)
+    out_path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, command, *argv, "--out", str(out_path))
+    assert code == 1
+    assert (out, err) == ("", "")
+    report = json.loads(out_path.read_text())
+    assert report["command"] == command
+    assert report["results"] == {"error": {"kind": "numerical", "message": "boom"}}
+    assert "wall_time_s" in report
+
+
+@pytest.mark.parametrize("command", sorted(CLOSURE_COMMANDS))
+def test_closure_value_error_exits_two_without_a_report(capsys, monkeypatch, tmp_path, command):
+    def bad_input(*args, **kwargs):
+        raise ValueError("bad input")
+
+    target, argv = CLOSURE_COMMANDS[command]
+    monkeypatch.setattr(target, bad_input)
+    out_path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, command, *argv, "--out", str(out_path))
+    assert code == 2
+    assert (out, err) == ("", "error: bad input\n")
+    assert not out_path.exists()
+
+
+def test_analysis_error_before_the_header_exits_two(capsys, monkeypatch, tmp_path):
+    # evolve builds its header after propagating: with no report to carry
+    # results.error, the failure is an input error
+    def boom(model, schedule):
+        raise AnalysisError("boom")
+
+    monkeypatch.setattr("oscontrol.cli.propagate", boom)
+    out_path = tmp_path / "report.json"
+    code, out, err = run_cli(
+        capsys, "evolve", "--model", str(MODELS / "single_mode.json"),
+        "--schedule", str(MODELS / "schedule_demo.json"), "--out", str(out_path),
+    )
+    assert code == 2
+    assert (out, err) == ("", "error: boom\n")
+    assert not out_path.exists()
+
+
 def test_recur_identity_hamiltonian(capsys, tmp_path):
     model = tmp_path / "ident.json"
     model.write_text(
@@ -371,10 +425,37 @@ def test_chain_h1_only_not_established(capsys):
     assert report["results"]["dimension"] <= 9
 
 
+@pytest.mark.parametrize(
+    "flags,ok,message",
+    [
+        ((), True, None),
+        (("--g1", "0.4", "--g2", "0.4"), False, "positive definite"),
+        (("--g2", "0", "--h1-only"), False, "triple not attempted: squeeze control excluded"),
+    ],
+)
+def test_chain_triple_block_reads_the_one_closure(capsys, flags, ok, message):
+    # the triple spans the seeds' space, so its closure dimension is the
+    # closure's own whenever the triple validates, and null otherwise
+    _, out, _ = run_cli(capsys, "chain", "--n", "3", *flags)
+    res = report_of(out)["results"]
+    triple = res["triple"]
+    assert triple["ok"] is ok
+    if ok:
+        assert triple == {"ok": True, "closure_dimension": res["dimension"], "message": None}
+    else:
+        assert triple["closure_dimension"] is None
+        assert message in triple["message"]
+    assert (res["passive"] is None) == res["rank_criterion_met"]
+
+
 def test_chain_identities_required_but_impossible(capsys):
-    code, _, err = run_cli(capsys, "chain", "--n", "1", "--identities", "require")
+    code, out, err = run_cli(capsys, "chain", "--n", "1", "--identities", "require")
     assert code == 2
-    assert "n >= 3" in err
+    assert out == ""
+    assert err == (
+        "error: identity suite needs n >= 3 (long-distance bracket spans three sites), "
+        "got n = 1\n"
+    )
     code, _, err = run_cli(
         capsys, "chain", "--n", "3", "--g1", "0", "--g2", "0", "--identities", "require"
     )

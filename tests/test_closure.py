@@ -128,6 +128,37 @@ def test_passive_chain_reaches_n_squared(n):
     assert sub.passive
 
 
+def _count_close_calls(monkeypatch, seeds):
+    calls = []
+    inner = closure_module._close
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])  # the prime
+        return inner(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(closure_module, "_close", counted)
+        sub = closure(seeds)
+    return sub, calls
+
+
+@pytest.mark.parametrize("n", [10, 16])
+def test_passive_closure_at_n_squared_is_not_rerun(monkeypatch, n):
+    # a passive algebra lies in u(n), so no second prime can exceed n^2
+    model = build_chain(ChainSpec(n=n, g1=0.2, g2=0.0))
+    sub, calls = _count_close_calls(monkeypatch, [model.drift, model.controls[0]])
+    assert sub.passive and sub.dimension == n * n
+    assert calls == [PRIMES[0]]
+
+
+def test_passive_closure_short_of_n_squared_is_rerun(monkeypatch):
+    # two commuting rotations span 2 < n^2 = 4, so the second prime is tried
+    rotations = [from_terms(2, [number(j, 1.0)]) for j in (1, 2)]
+    sub, calls = _count_close_calls(monkeypatch, rotations)
+    assert sub.passive and sub.dimension == 2
+    assert calls == list(PRIMES)
+
+
 def test_passivity_check_examples():
     # passivity is read off the seeds: u(n) is a subalgebra, so the closure
     # is passive exactly when every seed commutes with Omega

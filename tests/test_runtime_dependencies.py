@@ -34,6 +34,7 @@ print(json.dumps({"codes": codes, "scipy_modules": loaded}))
 def test_commands_run_without_scipy(tmp_path):
     out = str(tmp_path / "report.json")
     runs = [
+        ["rank", "--model", str(MODELS / "chain_n3.json")],
         ["chain", "--n", "3"],
         ["williamson", "--model", str(MODELS / "chain_n3.json")],
         ["recur", "--model", str(MODELS / "incommensurate_pair.json"), "--epsilon", "0.5",
@@ -49,4 +50,4 @@ def test_commands_run_without_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result == {"codes": [0, 0, 0, 0], "scipy_modules": []}
+    assert result == {"codes": [0, 0, 0, 0, 0], "scipy_modules": []}
