@@ -22,7 +22,6 @@ from .symplectic import (
 from .hamiltonians import (
     HamiltonianTerm,
     QuadraticHamiltonian,
-    bracket_hamiltonians,
     from_terms,
     generator,
     generic,
@@ -52,7 +51,6 @@ from .recurrence import (
     conditioning_bound,
     find_recurrence,
     mode_distance,
-    non_recurrence_witness,
 )
 from .evolution import (
     ControlModel,
@@ -69,8 +67,6 @@ from .chain import (
     TripleParams,
     build_chain,
     controllability_report,
-    positive_triple,
-    positivity_condition,
     verify_bracket_identities,
 )
 from .documents import DocumentError, ModelDocument, ScheduleDocument
@@ -83,7 +79,7 @@ __all__ = [
     # hamiltonians
     "QuadraticHamiltonian", "HamiltonianTerm",
     "number", "hop", "pair", "squeeze", "generic",
-    "from_terms", "generator", "bracket_hamiltonians",
+    "from_terms", "generator",
     # closure
     "LieSubspace", "full_dimension", "closure", "contains",
     # williamson
@@ -91,14 +87,14 @@ __all__ = [
     "symplectic_eigenvalues", "williamson_decompose", "spectrum_certificate",
     # recurrence
     "RecurrenceQuery", "RecurrenceResult",
-    "mode_distance", "conditioning_bound", "find_recurrence", "non_recurrence_witness",
+    "mode_distance", "conditioning_bound", "find_recurrence",
     # evolution
     "ControlModel", "ControlSchedule", "CovarianceState",
     "propagate", "evolve_covariance",
     # chain
     "ChainSpec", "TripleParams", "PositivityCheck", "IdentityReport",
-    "ControllabilityReport", "build_chain", "positivity_condition",
-    "positive_triple", "verify_bracket_identities", "controllability_report",
+    "ControllabilityReport", "build_chain", "verify_bracket_identities",
+    "controllability_report",
     # documents
     "DocumentError", "ModelDocument", "ScheduleDocument",
 ]

@@ -3,11 +3,11 @@
 A uniform chain of n oscillators carries an always-on Hamiltonian with
 nearest-neighbour excitation-exchange (coupling g1) and pair-creation
 (coupling g2) terms, controlled through a phase rotation and a squeezing
-term on site 1 only. This module builds that model, evaluates the
-sufficient positivity condition g1/omega + g2/omega < 1/2, constructs
-positive-definite generating triples, machine-checks the bracket-identity
-chain that generates the full symplectic algebra from the local controls,
-and assembles the whole pipeline into a controllability verdict.
+term on site 1 only. This module builds that model, machine-checks the
+bracket-identity chain that generates the full symplectic algebra from the
+local controls, and assembles the whole pipeline into a controllability
+verdict: ``controllability_report`` is the one place that decides the drift's
+definiteness and the positive-definite generating triple.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .closure import LieSubspace, closure
 from .evolution import ControlModel
 from .hamiltonians import QuadraticHamiltonian
 from .symplectic import commutator
-from .williamson import DefinitenessError
+from .williamson import _positive_definite
 
 __all__ = [
     "ChainSpec",
@@ -32,13 +32,20 @@ __all__ = [
     "IdentityReport",
     "ControllabilityReport",
     "build_chain",
-    "positivity_condition",
-    "positive_triple",
     "identity_suite_unmet",
     "verify_bracket_identities",
     "controllability_report",
     "IDENTITY_NAMES",
 ]
+
+
+def _set_finite(obj, names) -> None:
+    """Store each named field of a frozen dataclass as a float, rejecting non-finite values."""
+    for name in names:
+        v = float(getattr(obj, name))
+        if not np.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+        object.__setattr__(obj, name, v)
 
 
 @dataclass(frozen=True)
@@ -61,26 +68,9 @@ class ChainSpec:
         if int(self.n) != self.n or self.n < 1:
             raise ValueError(f"chain length must be a positive integer, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
-        for name in ("omega", "g1", "g2", "omega1", "chi"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
-            object.__setattr__(self, name, v)
+        _set_finite(self, ("omega", "g1", "g2", "omega1", "chi"))
         if self.omega <= 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
-
-    @property
-    def g1_tilde(self) -> float:
-        return self.g1 / self.omega
-
-    @property
-    def g2_tilde(self) -> float:
-        return self.g2 / self.omega
-
-    @property
-    def positivity_sufficient(self) -> bool:
-        """The sufficient drift-positivity condition: both couplings positive, sum below 1/2."""
-        return self.g1_tilde > 0 and self.g2_tilde > 0 and self.g1_tilde + self.g2_tilde < 0.5
 
 
 def build_chain(spec: ChainSpec) -> ControlModel:
@@ -104,19 +94,11 @@ def build_chain(spec: ChainSpec) -> ControlModel:
 
 
 class PositivityCheck(NamedTuple):
+    """The sufficient coupling condition, and the drift's definiteness by the one rule."""
+
     sufficient: bool
     actual: bool
     min_eigenvalue: float
-
-
-def positivity_condition(spec: ChainSpec) -> PositivityCheck:
-    """Evaluate the sufficient condition and the actual drift definiteness."""
-    return _positivity(spec, np.linalg.eigvalsh(build_chain(spec).drift.A))
-
-
-def _positivity(spec: ChainSpec, drift_eigenvalues: np.ndarray) -> PositivityCheck:
-    w0 = float(drift_eigenvalues[0])
-    return PositivityCheck(spec.positivity_sufficient, actual=w0 > 0.0, min_eigenvalue=w0)
 
 
 @dataclass(frozen=True)
@@ -127,55 +109,44 @@ class TripleParams:
     beta: float = 1.0
     delta: float = 0.5
 
+    def __post_init__(self):
+        _set_finite(self, ("alpha", "beta", "delta"))
 
-def positive_triple(
-    spec: ChainSpec, params: TripleParams, definiteness_tol: float = 1e-10
-) -> list[QuadraticHamiltonian]:
-    """The generating set {H0, H0 + alpha H1, H0 + beta H1 + delta H2}.
 
-    The stated constraints (alpha omega1 > 0 and 0 < delta chi < beta omega1)
-    are necessary design constraints, not a definiteness proof, so every
-    combination is verified numerically positive definite; the offending
-    combination and eigenvalue are reported otherwise.
+def _triple_message(
+    spec: ChainSpec, params: TripleParams, model: ControlModel, drift_eigenvalues: np.ndarray,
+) -> Optional[str]:
+    """Why the triple {H0, H0 + alpha H1, H0 + beta H1 + delta H2} fails, or None.
+
+    The constraints alpha omega1 > 0 and 0 < delta chi < beta omega1 are
+    necessary design constraints, not a definiteness proof, so each member
+    T0, T1, T2 is also checked positive definite. T0 is the drift, whose
+    spectrum the caller already has.
     """
-    model = build_chain(spec)
-    return _triple(spec, params, model, np.linalg.eigvalsh(model.drift.A), definiteness_tol)
-
-
-def _triple(
-    spec: ChainSpec, params: TripleParams, model: ControlModel,
-    drift_eigenvalues: np.ndarray, definiteness_tol: float = 1e-10,
-) -> list[QuadraticHamiltonian]:
     if not params.alpha * spec.omega1 > 0:
-        raise ValueError(
+        return (
             f"triple constraint violated: alpha * omega1 = "
             f"{params.alpha * spec.omega1:g} must be positive"
         )
     if not 0 < params.delta * spec.chi < params.beta * spec.omega1:
-        raise ValueError(
+        return (
             f"triple constraint violated: need 0 < delta * chi < beta * omega1, "
             f"got delta * chi = {params.delta * spec.chi:g}, "
             f"beta * omega1 = {params.beta * spec.omega1:g}"
         )
-    H0, H1, H2 = model.drift, model.controls[0], model.controls[1]
-    combos = [
-        QuadraticHamiltonian(spec.n, H0.A, label="T0"),
-        QuadraticHamiltonian(spec.n, H0.A + params.alpha * H1.A, label="T1"),
-        QuadraticHamiltonian(
-            spec.n, H0.A + params.beta * H1.A + params.delta * H2.A, label="T2"
-        ),
-    ]
-    for combo in combos:
-        # T0 is the drift itself, whose spectrum the caller already has
-        w = drift_eigenvalues if combo is combos[0] else np.linalg.eigvalsh(combo.A)
-        scale = max(abs(w[0]), abs(w[-1]))
-        if w[0] <= definiteness_tol * scale:
-            raise DefinitenessError(
-                f"triple member {combo.label} is not positive definite: "
-                f"smallest eigenvalue {w[0]:.6e}",
-                smallest_eigenvalue=w[0],
+    H0, H1, H2 = (H.A for H in (model.drift, *model.controls))
+    for label, A in (
+        ("T0", None),
+        ("T1", H0 + params.alpha * H1),
+        ("T2", H0 + params.beta * H1 + params.delta * H2),
+    ):
+        w = drift_eigenvalues if A is None else np.linalg.eigvalsh(A)
+        if not _positive_definite(w):
+            return (
+                f"triple member {label} is not positive definite: "
+                f"smallest eigenvalue {w[0]:.6e}"
             )
-    return combos
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -435,8 +406,8 @@ def verify_bracket_identities(
     unmet = identity_suite_unmet(spec)
     if unmet:
         raise ValueError(f"identity suite needs {'; '.join(unmet)}")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
     mutate = dict(mutate or {})
     unknown = set(mutate) - set(IDENTITY_NAMES)
@@ -475,11 +446,13 @@ class ControllabilityReport:
 
     CONTROLLABLE: rank criterion met (``subspace.full_rank``) and the
     generating triple validated positive definite (``triple_message`` is
-    None). The triple's closure is not recomputed: the triple is an
-    invertible recombination of {H0, H1, H2} and a Lie closure depends only
-    on the span of its seeds, so it equals ``subspace``. RANK_ONLY: rank met
-    but no triple validated; ``triple_message`` says why. NOT_ESTABLISHED:
-    rank not met.
+    None). ``positivity.actual`` and triple member T0 are the same decision:
+    the drift's spectrum under ``williamson``'s one definiteness rule. The
+    triple's closure is not recomputed: the triple is an invertible
+    recombination of {H0, H1, H2} and a Lie closure depends only on the span
+    of its seeds, so it equals ``subspace``. RANK_ONLY: rank met but no
+    triple validated; ``triple_message`` says why. NOT_ESTABLISHED: rank not
+    met.
     """
 
     spec: ChainSpec
@@ -497,22 +470,27 @@ def controllability_report(
 ) -> ControllabilityReport:
     """Run the whole pipeline: build, close, rank, positivity, triple, verdict.
 
+    This is the one place the drift's definiteness and the triple are
+    decided, both by ``williamson``'s rule on the drift's one spectrum.
+
     ``include_squeeze_control=False`` restricts the controls to the local
     rotation only, the regime where the reachable set stays passive.
     """
     model = build_chain(spec)
     controls = model.controls if include_squeeze_control else model.controls[:1]
     sub = closure([model.drift, *controls])
+    # one spectrum and one rule decide both positivity.actual and member T0
     drift_eigenvalues = np.linalg.eigvalsh(model.drift.A)
-
-    triple_message: Optional[str] = None
-    if not include_squeeze_control:
-        triple_message = "triple not attempted: squeeze control excluded"
+    g1, g2 = spec.g1 / spec.omega, spec.g2 / spec.omega
+    positivity = PositivityCheck(
+        sufficient=g1 > 0 and g2 > 0 and g1 + g2 < 0.5,
+        actual=_positive_definite(drift_eigenvalues),
+        min_eigenvalue=float(drift_eigenvalues[0]),
+    )
+    if include_squeeze_control:
+        triple_message = _triple_message(spec, params, model, drift_eigenvalues)
     else:
-        try:
-            _triple(spec, params, model, drift_eigenvalues)
-        except ValueError as exc:
-            triple_message = str(exc)
+        triple_message = "triple not attempted: squeeze control excluded"
 
     if sub.full_rank and triple_message is None:
         verdict = VERDICT_CONTROLLABLE
@@ -525,7 +503,7 @@ def controllability_report(
         spec=spec,
         triple_params=params,
         subspace=sub,
-        positivity=_positivity(spec, drift_eigenvalues),
+        positivity=positivity,
         triple_message=triple_message,
         verdict=verdict,
     )

@@ -183,8 +183,9 @@ def cmd_evolve(args, report: dict) -> int:
             f"initial_covariance: expected shape ({2*model.n}, {2*model.n}), got {sigma.shape}"
         )
     S = propagate(model, schedule_doc.schedule)
+    tol = 1e-8
     results = _header(
-        report, "evolve", file_digest(args.model), {"covariance_symplectic_tol": 1e-8},
+        report, "evolve", file_digest(args.model), {"covariance_symplectic_tol": tol},
         {
             "model": str(args.model),
             "schedule": str(args.schedule),
@@ -198,7 +199,7 @@ def cmd_evolve(args, report: dict) -> int:
         total_duration=schedule_doc.schedule.total_duration,
     )
     if sigma is not None:
-        state = evolve_covariance(CovarianceState(sigma), S)
+        state = evolve_covariance(CovarianceState(sigma), S, tol=tol)
         results["final_covariance"] = _matrix(state.sigma)
     return 0
 
@@ -258,6 +259,18 @@ def cmd_chain(args, report: dict) -> int:
     return 0 if rep.verdict == VERDICT_CONTROLLABLE and identities_ok else 1
 
 
+def _checked(convert, ok, rule: str):
+    """An argparse type rejecting a value that fails ``ok``: exit 2 naming the flag."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # "invalid float value: ..." for unparsable text
+    return parse
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.
@@ -274,14 +287,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="Lie algebra closure and rank criterion")
     p.add_argument("--model", required=True, help="model document (JSON)")
-    p.add_argument("--max-rounds", type=int, default=None, help="bracket round budget")
+    p.add_argument("--max-rounds", type=_checked(int, lambda v: v >= 0, ">= 0"), default=None,
+                   help="bracket round budget")
     p.add_argument("--out", default=None, help="report path (default: stdout)")
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("williamson", help="Williamson normal form and spectrum certificate")
     p.add_argument("--model", required=True)
     p.add_argument("--hamiltonian", default=None, help="name in the model (default: drift)")
-    p.add_argument("--tol", type=float, default=1e-8, help="relative reconstruction tolerance")
+    p.add_argument("--tol", type=_checked(float, lambda v: 0 <= v < np.inf, "finite and >= 0"),
+                   default=1e-8, help="relative reconstruction tolerance")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_williamson)
 
@@ -311,7 +326,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument("--identity-tol", type=float, default=1e-12)
+    p.add_argument("--identity-tol", default=1e-12,
+                   type=_checked(float, lambda v: 0 < v < np.inf, "positive and finite"))
     p.add_argument(
         "--identities", choices=("auto", "require", "skip"), default="auto",
         help="bracket-identity suite: run when applicable, insist, or skip",

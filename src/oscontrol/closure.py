@@ -21,12 +21,12 @@ Coordinates. A vector holds the n(2n+1) upper-triangle entries of the
 symmetric matrix A of a Hamiltonian; the generator G = -A Omega of
 sp(2n, R) is never formed.
 
-Brackets. [G_b, G_s] = -C Omega with C = P + P^T for P = A_s Omega A_b
-(``hamiltonians.bracket_hamiltonians`` uses the same formula). Closure runs
-breadth first, one round per bracket depth: a round brackets the raw
-residues of the elements the previous round accepted (its frontier) against
-every seed. Bracketing against seeds only, rather than all pairs, generates
-the same algebra.
+Brackets. [G_b, G_s] = -C Omega with C = P + P^T for P = A_s Omega A_b.
+C is symmetric, so only its upper triangle is formed, as P[upper] + P[lower]:
+that is the bracket's coordinate vector. Closure runs breadth first, one
+round per bracket depth: a round brackets the raw residues of the elements
+the previous round accepted (its frontier) against every seed. Bracketing
+against seeds only, rather than all pairs, generates the same algebra.
 
 Basis. The accepted elements are held in reduced row echelon form [I | F]
 over permuted coordinates, the first r positions being the pivots. A block

@@ -6,9 +6,9 @@ is the one type of Lie-algebra element in the package's API: the closure
 takes Hamiltonians, and its symmetry check is the only sp(2n, R) membership
 check. The map iH -> G = -A Omega (``generator``) represents the
 Hilbert-space commutator algebra faithfully on 2n x 2n matrices: the bracket
-of two Hamiltonians (``bracket_hamiltonians``) corresponds to the matrix
-commutator of their generators, which is the load-bearing fact behind every
-closure computation in this package.
+[iH1, iH2] = i (1/2) R^T C R has C = P + P^T with P = A2 Omega A1, and
+-C Omega = [G1, G2] is the matrix commutator of the generators. That is the
+load-bearing fact behind every closure computation in this package.
 
 Term coefficients are angular frequencies (hbar = 1). Constant offsets such
 as the 1/2 in a^dag a + 1/2 generate global phases only and are dropped.
@@ -33,7 +33,6 @@ __all__ = [
     "generic",
     "from_terms",
     "generator",
-    "bracket_hamiltonians",
 ]
 
 SYMMETRY_TOL = 1e-12
@@ -170,18 +169,3 @@ def generator(H: QuadraticHamiltonian) -> np.ndarray:
     G = -H.A @ symplectic_form(H.n)
     G.setflags(write=False)
     return G
-
-
-def bracket_hamiltonians(H1: QuadraticHamiltonian, H2: QuadraticHamiltonian) -> QuadraticHamiltonian:
-    """The Hamiltonian whose generator is the commutator of the inputs' generators.
-
-    At the coefficient level the bracket is C = A2 Omega A1 - A1 Omega A2,
-    which satisfies -C Omega = [G1, G2]; it realises the Hilbert-space
-    bracket [iH1, iH2] = i (1/2) R^T C R. It is computed as C = P + P^T with
-    P = A2 Omega A1, which is exactly symmetric in floating point.
-    """
-    if H1.n != H2.n:
-        raise ValueError(f"mode count mismatch: {H1.n} vs {H2.n}")
-    P = H2.A @ symplectic_form(H1.n) @ H1.A
-    label = f"[{H1.label or 'H'},{H2.label or 'H'}]"
-    return QuadraticHamiltonian(n=H1.n, A=P + P.T, label=label)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .hamiltonians import QuadraticHamiltonian
 from .symplectic import expm, identity_distance, symplectic_form
-from .williamson import _coerce_symmetric, williamson_decompose
+from .williamson import williamson_decompose
 
 __all__ = [
     "RecurrenceQuery",
@@ -36,7 +36,6 @@ __all__ = [
     "mode_distance",
     "conditioning_bound",
     "find_recurrence",
-    "non_recurrence_witness",
 ]
 
 DEFAULT_GRID_POINTS_PER_PERIOD = 16
@@ -248,22 +247,3 @@ def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
         if best_true < query.epsilon and t_star > query.min_time:
             return result(t_star, best_true, d_star)
     return result()
-
-
-def non_recurrence_witness(H, horizon: float, samples: int) -> float:
-    """Minimum propagator distance from the identity over a sample grid.
-
-    Samples t = horizon * i / samples for i = 1..samples and returns the
-    smallest ||exp(-A Omega t) - 1||_F. For escaping dynamics (for
-    instance the free particle, where the distance is exactly 2t) the
-    minimum sits at the first grid point and scales linearly with it.
-    """
-    A = _coerce_symmetric(H)
-    if not (horizon > 0.0 and np.isfinite(horizon)):
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    G = -A @ symplectic_form(A.shape[0] // 2)
-    return min(
-        identity_distance(expm(G, horizon * i / samples)) for i in range(1, samples + 1)
-    )

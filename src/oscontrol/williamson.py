@@ -80,10 +80,15 @@ def _coerce_symmetric(H) -> np.ndarray:
     return QuadraticHamiltonian(A.shape[0] // 2, A).A
 
 
+def _positive_definite(w: np.ndarray, tol: float = DEFAULT_DEFINITENESS_TOL) -> bool:
+    """The one definiteness rule: the ascending spectrum w of A has w[0] > tol * ||A||_2."""
+    return bool(w[0] > tol * max(abs(w[0]), abs(w[-1])))
+
+
 def _require_positive_definite(w: np.ndarray, tol: float = DEFAULT_DEFINITENESS_TOL) -> None:
-    """Check that the ascending spectrum w of A has w[0] > tol * ||A||_2."""
-    scale = max(abs(w[0]), abs(w[-1]))
-    if scale == 0.0 or w[0] <= tol * scale:
+    """Raise DefinitenessError unless :func:`_positive_definite` holds."""
+    if not _positive_definite(w, tol):
+        scale = max(abs(w[0]), abs(w[-1]))
         raise DefinitenessError(
             f"matrix is not positive definite: smallest eigenvalue {w[0]:.6e} "
             f"(threshold {tol:.1e} * ||A||_2 = {tol * scale:.6e})",

@@ -24,6 +24,15 @@ def omega_from_formula(n: int) -> np.ndarray:
     return omega
 
 
+def bracket_form(A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
+    """The A-form C of [iH1, iH2] = i (1/2) R^T C R: C = P + P^T with P = A2 Omega A1.
+
+    -C Omega is then the commutator [G1, G2] of the generators G = -A Omega.
+    """
+    P = A2 @ omega_from_formula(A1.shape[0] // 2) @ A1
+    return P + P.T
+
+
 # --- mode-operator expansion ------------------------------------------------
 # a_j = (q_j + i p_j)/sqrt(2) is a complex linear form u over R; the
 # quadratic part of a product L1 L2 of linear forms u, v is

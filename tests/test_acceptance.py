@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from oscontrol import (
     ChainSpec,
@@ -22,6 +21,7 @@ from oscontrol import (
     build_chain,
     closure,
     conditioning_bound,
+    controllability_report,
     evolve_covariance,
     expm,
     find_recurrence,
@@ -29,7 +29,6 @@ from oscontrol import (
     identity_distance,
     is_symplectic,
     mode_distance,
-    positive_triple,
     propagate,
     spectrum_certificate,
     symplectic_eigenvalues,
@@ -188,12 +187,16 @@ def test_criterion_7_positive_triple():
     dims_match = True
     for n in (2, 3, 4):
         spec = ChainSpec(n=n, omega=1.0, g1=0.2, g2=0.2)
-        triple = positive_triple(spec, params)
-        assert all(np.linalg.eigvalsh(t.A)[0] > 0.0 for t in triple)
+        rep = controllability_report(spec, params)
+        assert rep.triple_message is None and rep.positivity.actual
+        # the triple members, built here: each positive definite, and their
+        # closure is the raw controls' closure that the report decided on
         model = build_chain(spec)
-        raw = closure([model.drift, *model.controls])
-        mixed = closure(triple)
-        dims_match = dims_match and raw.dimension == mixed.dimension
+        H0, H1, H2 = (H.A for H in (model.drift, *model.controls))
+        triple = [H0, H0 + params.alpha * H1, H0 + params.beta * H1 + params.delta * H2]
+        assert all(np.linalg.eigvalsh(A)[0] > 0.0 for A in triple)
+        mixed = closure([QuadraticHamiltonian(n, A) for A in triple])
+        dims_match = dims_match and rep.subspace.dimension == mixed.dimension
 
     spec = ChainSpec(n=2, omega=1.0, g1=0.2, g2=0.2)
     rejected = 0
@@ -204,8 +207,9 @@ def test_criterion_7_positive_triple():
         TripleParams(alpha=1.0, beta=1.0, delta=-0.1),   # delta * chi <= 0
         TripleParams(alpha=1.0, beta=-1.0, delta=0.5),   # beta * omega1 below delta * chi
     ):
-        with pytest.raises(ValueError):
-            positive_triple(spec, bad)
+        rep = controllability_report(spec, bad)
+        assert rep.triple_message.startswith("triple constraint violated")
+        assert rep.verdict == "RANK_ONLY"
         rejected += 1
     ok = dims_match and rejected == 5
     _criterion(

@@ -3,14 +3,12 @@ import pytest
 
 from oscontrol import (
     ChainSpec,
-    DefinitenessError,
+    QuadraticHamiltonian,
     TripleParams,
     build_chain,
     closure,
     controllability_report,
     full_dimension,
-    positive_triple,
-    positivity_condition,
     verify_bracket_identities,
 )
 from oscontrol.chain import IDENTITY_NAMES, identity_suite_unmet
@@ -61,9 +59,22 @@ def test_drift_matches_independent_expansion(n):
     assert np.linalg.norm(drift.A - oracle) <= 1e-14
 
 
+def _pd(A):
+    # the package's one rule, written out: w[0] > 1e-10 * ||A||_2
+    w = np.linalg.eigvalsh(A)
+    return w[0] > 1e-10 * max(abs(w[0]), abs(w[-1]))
+
+
+def _members(spec, params):
+    # the triple {H0, H0 + alpha H1, H0 + beta H1 + delta H2}, built here as the oracle
+    model = build_chain(spec)
+    H0, H1, H2 = (H.A for H in (model.drift, *model.controls))
+    return [H0, H0 + params.alpha * H1, H0 + params.beta * H1 + params.delta * H2]
+
+
 def test_positivity_condition_canonical():
     for n in range(1, 17):
-        check = positivity_condition(ChainSpec(n=n, omega=1.0, g1=0.2, g2=0.2))
+        check = controllability_report(ChainSpec(n=n, omega=1.0, g1=0.2, g2=0.2)).positivity
         assert check.sufficient
         assert check.actual
         assert check.min_eigenvalue > 0.0
@@ -74,55 +85,96 @@ def test_positivity_condition_violated_sum():
     # eigensolve decides what actually happens at each n
     for n in (2, 3, 6):
         spec = ChainSpec(n=n, omega=1.0, g1=0.3, g2=0.3)
-        check = positivity_condition(spec)
-        assert not check.sufficient
-        w = np.linalg.eigvalsh(build_chain(spec).drift.A)
-        assert check.actual == (w[0] > 0.0)
-        assert check.min_eigenvalue == pytest.approx(w[0], abs=1e-14)
+        rep = controllability_report(spec)
+        assert not rep.positivity.sufficient
+        A = build_chain(spec).drift.A
+        assert rep.positivity.actual == _pd(A)
+        assert rep.positivity.min_eigenvalue == pytest.approx(np.linalg.eigvalsh(A)[0], abs=1e-14)
 
 
 def test_positivity_decoupled_chain():
-    check = positivity_condition(ChainSpec(n=4, omega=1.0))
+    check = controllability_report(ChainSpec(n=4, omega=1.0)).positivity
     assert check.min_eigenvalue == pytest.approx(1.0, abs=0.0)
     assert check.actual
     assert not check.sufficient  # the sufficient condition wants positive couplings
 
 
+def test_positivity_and_triple_agree_in_the_gray_zone():
+    # the drift's smallest eigenvalue is 2.0e-14 > 0, below 1e-10 * ||H0||_2:
+    # one rule on one spectrum says no to both positivity and T0
+    spec = ChainSpec(n=2, omega=1.0, g1=0.49999999999999, g2=0.49999999999999)
+    rep = controllability_report(spec)
+    assert 0.0 < rep.positivity.min_eigenvalue < 1e-10
+    assert rep.positivity.actual is False
+    assert rep.triple_message == (
+        "triple member T0 is not positive definite: smallest eigenvalue "
+        f"{rep.positivity.min_eigenvalue:.6e}"
+    )
+    assert rep.verdict == "RANK_ONLY"
+
+
 def test_positive_triple_canonical_fixture():
     spec = ChainSpec(n=2, omega=1.0, g1=0.2, g2=0.2)
-    triple = positive_triple(spec, TripleParams(alpha=1.0, beta=1.0, delta=0.5))
-    assert len(triple) == 3
-    for combo in triple:
-        assert np.linalg.eigvalsh(combo.A)[0] > 0.0
+    params = TripleParams(alpha=1.0, beta=1.0, delta=0.5)
+    rep = controllability_report(spec, params)
+    assert rep.triple_message is None
+    assert rep.verdict == "CONTROLLABLE"
+    for A in _members(spec, params):
+        assert np.linalg.eigvalsh(A)[0] > 0.0
 
 
 def test_positive_triple_rejects_alpha_sign():
-    with pytest.raises(ValueError, match="alpha"):
-        positive_triple(CANONICAL, TripleParams(alpha=-1.0, beta=1.0, delta=0.5))
+    rep = controllability_report(CANONICAL, TripleParams(alpha=-1.0, beta=1.0, delta=0.5))
+    assert "alpha" in rep.triple_message
+    assert rep.verdict == "RANK_ONLY"
 
 
 def test_positive_triple_rejects_delta_bound():
-    with pytest.raises(ValueError, match="delta"):
-        positive_triple(CANONICAL, TripleParams(alpha=1.0, beta=1.0, delta=3.0))
-    with pytest.raises(ValueError, match="delta"):
-        positive_triple(CANONICAL, TripleParams(alpha=1.0, beta=1.0, delta=-0.5))
+    for delta in (3.0, -0.5):
+        rep = controllability_report(CANONICAL, TripleParams(alpha=1.0, beta=1.0, delta=delta))
+        assert "delta" in rep.triple_message
+        assert rep.verdict == "RANK_ONLY"
 
 
 def test_positive_triple_reports_indefinite_member():
     # drift itself is indefinite at strong coupling, so T0 must be rejected
     spec = ChainSpec(n=3, omega=1.0, g1=0.4, g2=0.4)
-    assert not positivity_condition(spec).actual
-    with pytest.raises(DefinitenessError):
-        positive_triple(spec, TripleParams())
+    rep = controllability_report(spec)
+    assert not _pd(_members(spec, TripleParams())[0])
+    assert not rep.positivity.actual
+    assert rep.triple_message.startswith("triple member T0 is not positive definite")
+
+
+def test_positive_triple_rejects_indefinite_t2():
+    # delta chi = 9.9 < beta omega1 = 10 meets the constraints, but pulls the
+    # site-1 p-p entry of T2 to 1 + 10 - 19.8 < 0 while T0 and T1 stay positive
+    params = TripleParams(alpha=1.0, beta=10.0, delta=9.9)
+    T0, T1, T2 = _members(CANONICAL, params)
+    assert _pd(T0) and _pd(T1) and not _pd(T2)
+    rep = controllability_report(CANONICAL, params)
+    assert rep.positivity.actual
+    assert rep.triple_message == (
+        "triple member T2 is not positive definite: smallest eigenvalue "
+        f"{np.linalg.eigvalsh(T2)[0]:.6e}"
+    )
+    assert rep.verdict == "RANK_ONLY"
+
+
+def test_triple_params_must_be_finite():
+    for name in ("alpha", "beta", "delta"):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            TripleParams(**{name: np.nan})
+    assert TripleParams(alpha=2).alpha == 2.0
 
 
 def test_positive_triple_closure_matches_raw_controls():
+    # the verdict reuses the raw closure: the triple is an invertible
+    # recombination of {H0, H1, H2}, so its own closure has the same dimension
     spec = ChainSpec(n=2, omega=1.0, g1=0.2, g2=0.2)
-    model = build_chain(spec)
-    raw = closure([model.drift, *model.controls])
-    triple = positive_triple(spec, TripleParams())
-    mixed = closure(triple)
-    assert raw.dimension == mixed.dimension == full_dimension(2)
+    rep = controllability_report(spec)
+    mixed = closure([QuadraticHamiltonian(2, A) for A in _members(spec, TripleParams())])
+    assert rep.triple_message is None
+    assert rep.subspace.dimension == mixed.dimension == full_dimension(2)
 
 
 def test_identities_all_pass_at_canonical_point():

@@ -480,6 +480,69 @@ def test_chain_invalid_flags_exit_two(capsys):
     assert "positive" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("williamson", "--model", "chain_n3.json", "--tol", "-1"),
+         "argument --tol: must be finite and >= 0, got -1"),
+        (("williamson", "--model", "chain_n3.json", "--tol", "nan"),
+         "argument --tol: must be finite and >= 0, got nan"),
+        (("chain", "--n", "3", "--identity-tol", "nan"),
+         "argument --identity-tol: must be positive and finite, got nan"),
+        # the suite does not run at g1 != g2; the flag is still checked
+        (("chain", "--n", "3", "--g2", "0.1", "--identity-tol", "-1"),
+         "argument --identity-tol: must be positive and finite, got -1"),
+        (("rank", "--model", "chain_n3.json", "--max-rounds", "-1"),
+         "argument --max-rounds: must be >= 0, got -1"),
+        (("chain", "--n", "3", "--alpha", "nan"), "error: alpha must be finite, got nan"),
+    ],
+    ids=["williamson-tol-negative", "williamson-tol-nan", "chain-identity-tol-nan",
+         "chain-identity-tol-negative-unused", "rank-max-rounds-negative", "chain-alpha-nan"],
+)
+def test_bad_numeric_flags_exit_two_before_analysis(capsys, monkeypatch, argv, message):
+    # each of these once ran the analysis: exit 1 as a numerical failure,
+    # exit 0 echoing the bad value, or exit 2 only when the renderer met a nan
+    for name in ("closure", "spectrum_certificate", "controllability_report"):
+        monkeypatch.setattr(f"oscontrol.cli.{name}", None)  # analysis must not start
+    argv = [str(MODELS / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_chain_gray_zone_positivity_is_the_triple_decision(capsys):
+    # smallest drift eigenvalue 2.0e-14 > 0 but below 1e-10 * ||H0||_2: once
+    # positivity.actual said true beside a triple that rejected T0
+    code, out, _ = run_cli(
+        capsys, "chain", "--n", "2", "--g1", "0.49999999999999", "--g2", "0.49999999999999"
+    )
+    res = report_of(out)["results"]
+    assert code == 1
+    assert 0.0 < res["positivity"]["min_eigenvalue"] < 1e-10
+    assert res["positivity"]["actual"] is res["triple"]["ok"] is False
+    assert res["triple"]["message"].startswith("triple member T0 is not positive definite")
+    assert res["verdict"] == "RANK_ONLY"
+
+
+def test_evolve_transports_covariance_with_the_echoed_tolerance(capsys, monkeypatch):
+    import oscontrol.cli as cli
+
+    real, seen = cli.evolve_covariance, []
+
+    def spy(state, S, tol):
+        seen.append(tol)
+        return real(state, S, tol=tol)
+
+    monkeypatch.setattr(cli, "evolve_covariance", spy)
+    code, out, _ = run_cli(
+        capsys, "evolve", "--model", str(MODELS / "single_mode.json"),
+        "--schedule", str(MODELS / "schedule_demo.json"),
+    )
+    assert code == 0
+    assert seen == [report_of(out)["tolerances"]["covariance_symplectic_tol"]]
+
+
 def test_chain_skips_identities_for_uneven_couplings(capsys):
     code, out, _ = run_cli(capsys, "chain", "--n", "3", "--g1", "0.2", "--g2", "0.1")
     report = report_of(out)

@@ -18,7 +18,6 @@ from oscontrol import (
     identity_distance,
     is_symplectic,
     mode_distance,
-    non_recurrence_witness,
     symplectic_eigenvalues,
     symplectic_form,
     williamson_decompose,
@@ -170,35 +169,16 @@ def test_proof_chain_inequality_on_sampled_times():
             assert identity_distance(expm(G, t)) <= K * mode_distance(nu, t) + 1e-9
 
 
-def test_non_recurrence_witness_free_particle():
-    A = np.diag([0.0, 2.0])
-    # grid {1, 2, ..., 100}: the minimum is 2 * (first grid point) = 2
-    assert non_recurrence_witness(A, horizon=100.0, samples=100) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_non_recurrence_witness_identity_covers_period():
-    A = np.eye(2)
-    assert non_recurrence_witness(A, horizon=TWO_PI * 1.001, samples=2000) < 1e-2
-
-
-def test_non_recurrence_witness_hyperbolic_escapes():
+def test_hyperbolic_distance_escapes_monotonically():
+    # an indefinite A has a real exponent: the distance to the identity only
+    # grows, so no recurrence exists (criterion 6 pins the free particle)
     A = np.diag([1.0, -1.0])
     G = -A @ symplectic_form(1)
-    ts = [1.0, 2.0, 4.0, 8.0]
-    dists = [identity_distance(expm(G, t)) for t in ts]
-    assert all(d2 > d1 for d1, d2 in zip(dists, dists[1:]))  # monotone escape
-    assert non_recurrence_witness(A, horizon=8.0, samples=8) == pytest.approx(dists[0], abs=1e-12)
-
-
-def test_non_recurrence_witness_validation():
-    with pytest.raises(ValueError):
-        non_recurrence_witness(np.eye(2), horizon=-1.0, samples=5)
-    with pytest.raises(ValueError):
-        non_recurrence_witness(np.eye(2), horizon=1.0, samples=0)
-    with pytest.raises(ValueError, match="symmetric"):
-        non_recurrence_witness(np.array([[1.0, 5.0], [0.0, 1.0]]), horizon=1.0, samples=5)
-    with pytest.raises(ValueError, match="shape"):
-        non_recurrence_witness(np.eye(3), horizon=1.0, samples=5)
+    dists = [identity_distance(expm(G, t)) for t in (1.0, 2.0, 4.0, 8.0)]
+    assert all(d2 > d1 for d1, d2 in zip(dists, dists[1:]))
+    # exp(-A Omega t) is orthogonally similar to diag(e^t, e^-t), so the
+    # distance is sqrt((e^t - 1)^2 + (e^-t - 1)^2)
+    assert dists[0] == pytest.approx(math.hypot(math.e - 1.0, 1.0 / math.e - 1.0), rel=1e-12)
 
 
 def test_find_recurrence_terminates_at_large_times():
