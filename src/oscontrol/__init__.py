@@ -60,6 +60,7 @@ from .evolution import (
     propagate,
 )
 from .chain import (
+    ChainInduction,
     ChainSpec,
     ControllabilityReport,
     IdentityReport,
@@ -93,7 +94,7 @@ __all__ = [
     "propagate", "evolve_covariance",
     # chain
     "ChainSpec", "TripleParams", "PositivityCheck", "IdentityReport",
-    "ControllabilityReport", "build_chain", "verify_bracket_identities",
+    "ChainInduction", "ControllabilityReport", "build_chain", "verify_bracket_identities",
     "controllability_report",
     # documents
     "DocumentError", "ModelDocument", "ScheduleDocument",

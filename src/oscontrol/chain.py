@@ -12,13 +12,19 @@ definiteness and the positive-definite generating triple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Optional
+import functools
+import itertools
+import operator
+from dataclasses import dataclass, replace
+from typing import Callable, ClassVar, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
 from . import hamiltonians as ham
-from .closure import LieSubspace, closure
+from .closure import (
+    PRIMES, LieSubspace, _reduce, _require_exact_size, _residue, _to_field, closure,
+    full_dimension,
+)
 from .evolution import ControlModel
 from .hamiltonians import QuadraticHamiltonian
 from .symplectic import commutator
@@ -30,6 +36,7 @@ __all__ = [
     "PositivityCheck",
     "IdentityRecord",
     "IdentityReport",
+    "ChainInduction",
     "ControllabilityReport",
     "build_chain",
     "identity_suite_unmet",
@@ -84,13 +91,28 @@ def build_chain(spec: ChainSpec) -> ControlModel:
     drift_terms = [ham.number(j, spec.omega) for j in range(1, n + 1)]
     drift_terms += [ham.hop(j, j + 1, spec.g1) for j in range(1, n)]
     drift_terms += [ham.pair(j, j + 1, spec.g2) for j in range(1, n)]
-    return ControlModel(
-        drift=ham.from_terms(n, drift_terms, label="H0"),
-        controls=(
-            ham.from_terms(n, [ham.number(1, spec.omega1)], label="H1"),
-            ham.from_terms(n, [ham.squeeze(1, spec.chi)], label="H2"),
-        ),
+    return ControlModel(drift=ham.from_terms(n, drift_terms, label="H0"), controls=_controls(spec))
+
+
+def _controls(spec: ChainSpec) -> tuple[QuadraticHamiltonian, QuadraticHamiltonian]:
+    """The site-1 controls number(1, omega1) and squeeze(1, chi)."""
+    return (
+        ham.from_terms(spec.n, [ham.number(1, spec.omega1)], label="H1"),
+        ham.from_terms(spec.n, [ham.squeeze(1, spec.chi)], label="H2"),
     )
+
+
+def _window(
+    spec: ChainSpec, model: ControlModel, m: int, **controls: float,
+) -> tuple[ChainSpec, ControlModel]:
+    """The chain on sites 1..m of ``model``, the chain of ``spec``: (spec, model).
+
+    Its drift is the top-left 2m x 2m block of ``model``'s, which is the
+    m-site chain's drift exactly; ``controls`` may override omega1 and chi.
+    """
+    window = replace(spec, n=m, **controls)
+    drift = QuadraticHamiltonian(m, model.drift.A[:2 * m, :2 * m], label="H0")
+    return window, ControlModel(drift=drift, controls=_controls(window))
 
 
 class PositivityCheck(NamedTuple):
@@ -193,7 +215,11 @@ def _squeeze_anti_form(n: int, j: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class IdentityRecord:
-    """One verified bracket identity: the two sides and their distance."""
+    """One verified bracket identity: the two sides and their distance.
+
+    The sides are 6 x 6 generators on the chain's 3-site window, whatever
+    the chain's length.
+    """
 
     name: str
     description: str
@@ -210,16 +236,68 @@ class IdentityReport:
     max_residual: float
 
 
+class _Field(NamedTuple):
+    """The arithmetic the identity table is evaluated in.
+
+    ``element`` maps a float generator into the field, ``scalar`` a chain
+    parameter; ``bracket`` is the commutator and ``divide(X, d)`` is X / d.
+    """
+
+    element: Callable[[np.ndarray], np.ndarray]
+    scalar: Callable[[float], float]
+    bracket: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    divide: Callable[[np.ndarray, float], np.ndarray]
+
+
+_REALS = _Field(element=lambda G: G, scalar=float, bracket=commutator, divide=operator.truediv)
+
+
+def _residues(p: int) -> _Field:
+    """F_p in the closure's arithmetic: centred residues held in float64.
+
+    Every input float is a dyadic rational, so its residue is exact. The
+    operands of a bracket or a division are reduced first, so every product
+    is an exact integer below 2^53, and so is every linear combination the
+    table forms of reduced elements with residue weights. Dividing by a
+    multiple of p raises ValueError.
+    """
+
+    def reduced(X: np.ndarray) -> np.ndarray:
+        return _reduce(np.array(X, dtype=float), p)
+
+    def bracket(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        X, Y = reduced(X), reduced(Y)
+        return _reduce(X @ Y - Y @ X, p)
+
+    def divide(X: np.ndarray, d: float) -> np.ndarray:
+        return _reduce(reduced(X) * pow(int(d) % p, -1, p), p)
+
+    return _Field(
+        element=lambda G: _to_field(G, p),
+        scalar=lambda v: _residue(v, p),
+        bracket=bracket,
+        divide=divide,
+    )
+
+
 def _identity_table(
-    spec: ChainSpec,
+    spec: ChainSpec, model: ControlModel, field: _Field,
 ) -> list[tuple[str, str, Callable[[float], np.ndarray], np.ndarray]]:
     """The identity suite as data: (name, description, lhs builder, rhs).
+
+    ``model`` is the chain of ``spec``, of 3 sites, or of 2 sites without
+    long-distance-13, the one identity that needs site 3. Every identity
+    touches sites 1-3 only. Each identity is evaluated in ``field``: over
+    the reals for the report, over F_p for the chain's induction certificate.
 
     Each lhs builder takes a scale factor applied to the identity's one
     mutable coefficient, so the test harness can prove non-vacuity by
     perturbing coefficients individually. Operands are always the
     unit-coefficient generators built here, never the output of a previous
-    identity, so a mutation stays confined to its own record.
+    identity, so a mutation stays confined to its own record. In table
+    order, each lhs is formed from the seeds {iH0, iH1, iH2} and the rhs of
+    earlier identities only; long-distance-13 alone also uses the bond
+    (2, 3). So every rhs but that one lies in the Lie algebra of the seeds.
 
     Bracket combinations carry exact parameter scalings. The derivations fix
     three places where the unit-coefficient shorthand would break down for
@@ -227,16 +305,20 @@ def _identity_table(
     weighted by 2 * omega, the symmetric pair creator needs the reversed
     bracket order [iH1, .], and the site-2 squeeze closes with a factor 1/2.
     """
-    n, w, w1, x, g = spec.n, spec.omega, spec.omega1, spec.chi, spec.g1
+    n = spec.n
+    w, w1, x, g = (field.scalar(v) for v in (spec.omega, spec.omega1, spec.chi, spec.g1))
+    br, div = field.bracket, field.divide
+
+    def gen(H: QuadraticHamiltonian) -> np.ndarray:
+        return field.element(ham.generator(H))
 
     def term(t: ham.HamiltonianTerm) -> np.ndarray:
-        return ham.generator(ham.from_terms(n, [t]))
+        return gen(ham.from_terms(n, [t]))
 
     def anti(A: np.ndarray) -> np.ndarray:
-        return ham.generator(QuadraticHamiltonian(n, A))
+        return gen(QuadraticHamiltonian(n, A))
 
-    model = build_chain(spec)
-    h0, h1, h2 = (ham.generator(H) for H in (model.drift, *model.controls))
+    h0, h1, h2 = (gen(H) for H in (model.drift, *model.controls))
 
     sq_anti_1 = anti(_squeeze_anti_form(n, 1))
     sq_anti_2 = anti(_squeeze_anti_form(n, 2))
@@ -258,7 +340,7 @@ def _identity_table(
     add(
         "squeeze-anti-1",
         "half bracket of the squeezing control with the rotation control",
-        lambda s: s * commutator(h2, h1) / (2.0 * w1 * x),
+        lambda s: div(s * br(h2, h1), 2 * w1 * x),
         sq_anti_1,
     )
     # [iH0, iH1] = omega1 g [(a1^dag a2 - a1 a2^dag) + (a1^dag a2^dag - a1 a2)]:
@@ -266,7 +348,7 @@ def _identity_table(
     add(
         "coupling-mix-12",
         "bracket of the drift with the rotation control, normalised by omega1 g",
-        lambda s: s * commutator(h0, h1) / (w1 * g),
+        lambda s: div(s * br(h0, h1), w1 * g),
         mix_12,
     )
     # [iH1, mix] = omega1 * i(a1^dag a2^dag + a1^dag a2 + a1 a2^dag + a1 a2):
@@ -274,7 +356,7 @@ def _identity_table(
     add(
         "coupling-mix-sym-12",
         "rotation-control bracket of the antisymmetric coupling mix",
-        lambda s: s * commutator(h1, mix_12) / w1,
+        lambda s: div(s * br(h1, mix_12), w1),
         mix_sym_12,
     )
     # [[mix, iH0] + 2 omega mix_sym, iH1] = 2 omega omega1 (a1^dag a2 - a1 a2^dag):
@@ -285,8 +367,7 @@ def _identity_table(
     add(
         "exchange-anti-12",
         "composite bracket isolating the antisymmetric exchange between sites 1 and 2",
-        lambda s: commutator(commutator(mix_12, h0) + s * 2.0 * w * mix_sym_12, h1)
-        / (2.0 * w * w1),
+        lambda s: div(br(br(mix_12, h0) + s * 2 * w * mix_sym_12, h1), 2 * w * w1),
         ex_anti_12,
     )
     # mix - exchange = pair part, a linear identity independent of parameters
@@ -301,7 +382,7 @@ def _identity_table(
     add(
         "squeeze-anti-2",
         "site-2 antisymmetric squeeze from the two-site pair and exchange generators",
-        lambda s: commutator(pr_anti_12, ex_anti_12) + s * sq_anti_1,
+        lambda s: br(pr_anti_12, ex_anti_12) + s * sq_anti_1,
         sq_anti_2,
     )
     # [iH1, pair_anti] = omega1 * i(a1^dag a2^dag + a1 a2); bracket order
@@ -309,21 +390,21 @@ def _identity_table(
     add(
         "pair-sym-12",
         "symmetric pair creator from the rotation control and the antisymmetric pair",
-        lambda s: s * commutator(h1, pr_anti_12) / w1,
+        lambda s: div(s * br(h1, pr_anti_12), w1),
         pr_sym_12,
     )
     # [iH1, mix - 2 exchange] = omega1 (pair_sym - exchange_sym)
     add(
         "coupling-diff-12",
         "rotation bracket of the exchange-suppressed mix",
-        lambda s: commutator(h1, mix_12 - s * 2.0 * ex_anti_12) / w1,
+        lambda s: div(br(h1, mix_12 - s * 2 * ex_anti_12), w1),
         pr_sym_12 - ex_sym_12,
     )
     # symmetric mix minus the previous difference leaves twice the exchange
     add(
         "exchange-sym-12",
         "symmetric exchange (beam-splitter) generator between sites 1 and 2",
-        lambda s: s * 0.5 * (mix_sym_12 - (pr_sym_12 - ex_sym_12)),
+        lambda s: div(s * (mix_sym_12 - (pr_sym_12 - ex_sym_12)), 2),
         ex_sym_12,
     )
     # [exchange_sym, exchange_anti] = 2 i (N2 - N1), so adding back twice the
@@ -331,16 +412,18 @@ def _identity_table(
     add(
         "number-2",
         "site-2 number generator from the exchange pair and the rotation control",
-        lambda s: 0.5 * (s * 2.0 * h1 / w1 + commutator(ex_sym_12, ex_anti_12)),
+        lambda s: div(div(s * 2 * h1, w1) + br(ex_sym_12, ex_anti_12), 2),
         num_2,
     )
     # [i N2, a2^dag2 - a2^2] = 2 i (a2^dag2 + a2^2); the factor 1/2 is exact
     add(
         "squeeze-sym-2",
         "site-2 symmetric squeeze from the site-2 number and antisymmetric squeeze",
-        lambda s: s * 0.5 * commutator(num_2, sq_anti_2),
+        lambda s: div(s * br(num_2, sq_anti_2), 2),
         sq_sym_2,
     )
+    if n < 3:
+        return table
     # [i(a2^dag a3 + a2 a3^dag), a1 a2^dag - a1^dag a2] = i(a1^dag a3 + a1 a3^dag):
     # distant sites connect through one shared-site bracket with unit scalar
     ex_sym_23 = term(ham.hop(2, 3, 1.0))
@@ -348,7 +431,7 @@ def _identity_table(
     add(
         "long-distance-13",
         "beam-splitter between sites 1 and 3 through the shared site 2",
-        lambda s: s * commutator(ex_sym_23, -ex_anti_12),
+        lambda s: s * br(ex_sym_23, -ex_anti_12),
         ex_sym_13,
     )
     return table
@@ -393,8 +476,15 @@ def verify_bracket_identities(
     spec: ChainSpec,
     tol: float = 1e-12,
     mutate: Optional[Mapping[str, float]] = None,
+    model: Optional[ControlModel] = None,
 ) -> IdentityReport:
     """Machine-check the bracket-identity chain behind local controllability.
+
+    Every identity touches sites 1-3 only, so the suite runs on the chain's
+    3-site window at the spec's (omega, g, omega1, chi), and each record's
+    ``lhs`` and ``rhs`` are 6 x 6 generators whatever ``spec.n``. ``model``
+    is the chain of ``spec`` when the caller has built it already; the
+    window is read from it. Otherwise the 3-site chain is built.
 
     Raises ``ValueError`` naming every precondition of
     :func:`identity_suite_unmet` that ``spec`` fails.
@@ -408,6 +498,10 @@ def verify_bracket_identities(
         raise ValueError(f"identity suite needs {'; '.join(unmet)}")
     if not 0 < tol < np.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    if model is None:
+        model = build_chain(replace(spec, n=3))
+    elif model.n != spec.n:
+        raise ValueError(f"model has {model.n} sites, spec has n = {spec.n}")
 
     mutate = dict(mutate or {})
     unknown = set(mutate) - set(IDENTITY_NAMES)
@@ -415,7 +509,7 @@ def verify_bracket_identities(
         raise ValueError(f"unknown identity names in mutate: {sorted(unknown)}")
 
     records = []
-    for name, description, lhs_builder, rhs in _identity_table(spec):
+    for name, description, lhs_builder, rhs in _identity_table(*_window(spec, model, 3), _REALS):
         lhs = lhs_builder(mutate.get(name, 1.0))
         records.append(
             IdentityRecord(
@@ -435,6 +529,103 @@ def verify_bracket_identities(
     )
 
 
+@dataclass(frozen=True)
+class ChainInduction:
+    """Full rank of the chain's closure, proved by the paper's induction over F_prime.
+
+    It stands where the closure's ``LieSubspace`` would, with the fields the
+    report reads: the dimension is n(2n+1), the algebra is closed, no
+    bracket depth was explored, and it is not passive (the squeeze seed is
+    not). See :func:`_chain_induction` for the proof.
+    """
+
+    n: int
+    prime: int
+
+    certificate: ClassVar[str] = "chain_induction"
+    full_rank: ClassVar[bool] = True
+    closed: ClassVar[bool] = True
+    bracket_depth_reached: ClassVar[None] = None
+    passive: ClassVar[bool] = False
+
+    @property
+    def dimension(self) -> int:
+        return full_dimension(self.n)
+
+
+@functools.lru_cache(maxsize=None)
+def _gluing_lemma() -> LieSubspace:
+    """The closure of sp(4) on sites {1, 2}, sp(2) on site 3 and hop(2, 3).
+
+    It has no parameters, so it runs once per process. It is sp(6), of
+    dimension 21, over ``PRIMES[0]``.
+    """
+    seeds = []
+    for sites in (range(0, 4), range(4, 6)):  # coordinates of sites {1, 2}, then {3}
+        for a, b in itertools.combinations_with_replacement(sites, 2):
+            E = np.zeros((6, 6))
+            E[a, b] = E[b, a] = 1.0
+            seeds.append(QuadraticHamiltonian(3, E))
+    seeds.append(ham.from_terms(3, [ham.hop(2, 3, 1.0)]))
+    return closure(seeds)
+
+
+def _chain_induction(spec: ChainSpec, model: ControlModel) -> Optional[ChainInduction]:
+    """Prove full rank from fixed-size exact checks over F_p, or return None.
+
+    p = ``PRIMES[0]``, and ``model`` is the chain of ``spec`` with both
+    controls. Let L be the Lie algebra the residues of {iH0, iH1, iH2}
+    generate over F_p. Where ``identity_suite_unmet(spec)`` is empty and
+    omega, g, omega1 and chi are all nonzero mod p, three checks prove by
+    induction on k that L contains sp(2k) on sites 1..k:
+
+    (a) the identity suite holds mod p on the 3-site window chain at
+        (omega, g, omega1 = chi = 1);
+    (b) the suite without long-distance-13 holds mod p on the 2-site window;
+    (c) the gluing lemma: sp(4) on sites {1, 2}, sp(2) on site 3 and
+        hop(2, 3) close to sp(6).
+
+    Base: N_1 = H1 / omega1 and S_1 = H2 / chi are in L, and with
+    squeeze-anti-1 they span sp(2) on site 1.
+
+    Step k -> k + 1, for k < n. The drift minus its terms on sites 1..k,
+    plus omega N_k, is the same chain on sites k..n, and it lies in L, as do
+    N_k and the site-k squeeze S_k. So {that drift, N_k, S_k} is the chain
+    on sites k..n at omega1 = chi = 1, inside L. The suite brackets with the
+    drift only through [H0, H1] and [mix, H0], which see the drift's terms
+    on sites k, k + 1 and k + 2 alone; so check (a) holds on the longer
+    chain too, and check (b) where only sites k, k + 1 are left. In table
+    order each identity's rhs is built from the seeds and earlier rhs, so L
+    holds sp(2) on site k + 1 (number-2, squeeze-anti-2, squeeze-sym-2) and
+    all four bond (k, k + 1) generators (exchange and pair, symmetric and
+    antisymmetric). As a vector space, sp(2k + 2) on sites 1..k + 1 is
+    sp(2k) on 1..k, plus sp(2) on k + 1, plus the couplings of each site
+    j <= k to k + 1. The bond gives j = k. For j < k, sp(4) on {j, k} lies
+    in sp(2k), and check (c), relabelled to sites (j, k, k + 1), puts the
+    (j, k + 1) couplings in L.
+
+    At k = n, L = sp(2n) over F_p, of dimension n(2n+1); by the closure
+    module's argument the real closure has that dimension too. Any check
+    that fails returns None, so the caller's closure decides: the
+    certificate can skip work, never change a verdict.
+    """
+    if identity_suite_unmet(spec):
+        return None
+    p = PRIMES[0]
+    if not all(_residue(v, p) for v in (spec.omega, spec.g1, spec.omega1, spec.chi)):
+        return None
+    field = _residues(p)
+    for m in (3, 2):
+        window = _window(spec, model, m, omega1=1.0, chi=1.0)
+        for _, _, lhs, rhs in _identity_table(*window, field):
+            if _reduce(lhs(1) - rhs, p).any():
+                return None
+    lemma = _gluing_lemma()
+    if not (lemma.prime == p and lemma.full_rank):
+        return None
+    return ChainInduction(n=spec.n, prime=p)
+
+
 VERDICT_CONTROLLABLE = "CONTROLLABLE"
 VERDICT_RANK_ONLY = "RANK_ONLY"
 VERDICT_NOT_ESTABLISHED = "NOT_ESTABLISHED"
@@ -444,20 +635,25 @@ VERDICT_NOT_ESTABLISHED = "NOT_ESTABLISHED"
 class ControllabilityReport:
     """End-to-end verdict for a chain spec.
 
-    CONTROLLABLE: rank criterion met (``subspace.full_rank``) and the
+    ``rank`` is the one source of the closure's dimension and of how it was
+    decided: a ``ChainInduction`` where the paper's induction applies, else
+    the ``LieSubspace`` of the closure. ``model`` is the chain analysed.
+
+    CONTROLLABLE: rank criterion met (``rank.full_rank``) and the
     generating triple validated positive definite (``triple_message`` is
     None). ``positivity.actual`` and triple member T0 are the same decision:
     the drift's spectrum under ``williamson``'s one definiteness rule. The
     triple's closure is not recomputed: the triple is an invertible
     recombination of {H0, H1, H2} and a Lie closure depends only on the span
-    of its seeds, so it equals ``subspace``. RANK_ONLY: rank met but no
-    triple validated; ``triple_message`` says why. NOT_ESTABLISHED: rank not
-    met.
+    of its seeds, so it equals the seeds' closure. RANK_ONLY: rank met but
+    no triple validated; ``triple_message`` says why. NOT_ESTABLISHED: rank
+    not met.
     """
 
     spec: ChainSpec
     triple_params: TripleParams
-    subspace: LieSubspace
+    model: ControlModel
+    rank: Union[ChainInduction, LieSubspace]
     positivity: PositivityCheck
     triple_message: Optional[str]
     verdict: str
@@ -468,17 +664,25 @@ def controllability_report(
     params: TripleParams = TripleParams(),
     include_squeeze_control: bool = True,
 ) -> ControllabilityReport:
-    """Run the whole pipeline: build, close, rank, positivity, triple, verdict.
+    """Run the whole pipeline: build, rank, positivity, triple, verdict.
 
-    This is the one place the drift's definiteness and the triple are
-    decided, both by ``williamson``'s rule on the drift's one spectrum.
+    The rank comes from the chain's induction certificate where it applies
+    (:func:`_chain_induction`), else from the exact closure. This is the one
+    place the drift's definiteness and the triple are decided, both by
+    ``williamson``'s rule on the drift's one spectrum.
 
     ``include_squeeze_control=False`` restricts the controls to the local
     rotation only, the regime where the reachable set stays passive.
+
+    Raises ValueError for n > 127, the closure's limit, before the chain is
+    built.
     """
+    _require_exact_size(spec.n)
     model = build_chain(spec)
-    controls = model.controls if include_squeeze_control else model.controls[:1]
-    sub = closure([model.drift, *controls])
+    rank = _chain_induction(spec, model) if include_squeeze_control else None
+    if rank is None:
+        controls = model.controls if include_squeeze_control else model.controls[:1]
+        rank = closure([model.drift, *controls])
     # one spectrum and one rule decide both positivity.actual and member T0
     drift_eigenvalues = np.linalg.eigvalsh(model.drift.A)
     g1, g2 = spec.g1 / spec.omega, spec.g2 / spec.omega
@@ -492,9 +696,9 @@ def controllability_report(
     else:
         triple_message = "triple not attempted: squeeze control excluded"
 
-    if sub.full_rank and triple_message is None:
+    if rank.full_rank and triple_message is None:
         verdict = VERDICT_CONTROLLABLE
-    elif sub.full_rank:
+    elif rank.full_rank:
         verdict = VERDICT_RANK_ONLY
     else:
         verdict = VERDICT_NOT_ESTABLISHED
@@ -502,7 +706,8 @@ def controllability_report(
     return ControllabilityReport(
         spec=spec,
         triple_params=params,
-        subspace=sub,
+        model=model,
+        rank=rank,
         positivity=positivity,
         triple_message=triple_message,
         verdict=verdict,

@@ -24,7 +24,7 @@ from .chain import (
     VERDICT_CONTROLLABLE, ChainSpec, TripleParams, controllability_report, identity_suite_unmet,
     verify_bracket_identities,
 )
-from .closure import closure, full_dimension
+from .closure import LieSubspace, closure, full_dimension
 from .documents import (
     DocumentError,
     ModelDocument,
@@ -76,26 +76,27 @@ def _analysis_error(exc: AnalysisError) -> dict:
     return {"kind": "numerical", "message": str(exc)}
 
 
-def _closure_results(sub) -> dict:
-    """The closure's dimension, the rank criterion and how far the brackets went."""
+def _closure_results(rank) -> dict:
+    """The closure's dimension, the rank criterion and how far the brackets went.
+
+    ``rank`` is a ``LieSubspace`` or the chain's ``ChainInduction``, which
+    explores no bracket depth (null).
+    """
     return {
-        "dimension": sub.dimension,
-        "dimension_full": full_dimension(sub.n),
-        "rank_criterion_met": sub.full_rank,
-        "closed": sub.closed,
-        "bracket_depth": sub.bracket_depth_reached,
+        "dimension": rank.dimension,
+        "dimension_full": full_dimension(rank.n),
+        "rank_criterion_met": rank.full_rank,
+        "closed": rank.closed,
+        "bracket_depth": rank.bracket_depth_reached,
     }
 
 
-def _closure_diagnostics(sub) -> dict:
-    """How the closure's dimension was certified, and the work it took."""
-    return {
-        "closure": {
-            "certificate": "exact_mod_p",
-            "prime": sub.prime,
-            "candidates": sub.candidates,
-        }
-    }
+def _closure_diagnostics(rank) -> dict:
+    """How the closure's dimension was certified, and the work a closure took."""
+    closure_record = {"certificate": rank.certificate, "prime": rank.prime}
+    if isinstance(rank, LieSubspace):
+        closure_record["candidates"] = rank.candidates
+    return {"closure": closure_record}
 
 
 def cmd_rank(args, report: dict) -> int:
@@ -224,12 +225,12 @@ def cmd_chain(args, report: dict) -> int:
     }
     results = _header(report, "chain", data_digest(echo), {"identity_tol": args.identity_tol}, echo)
     rep = controllability_report(spec, params, include_squeeze_control=not args.h1_only)
-    sub = rep.subspace
+    rank = rep.rank
     triple_ok = rep.triple_message is None
     results.update(
         {
             "verdict": rep.verdict,
-            **_closure_results(sub),
+            **_closure_results(rank),
             "positivity": {
                 "sufficient": rep.positivity.sufficient,
                 "actual": rep.positivity.actual,
@@ -238,16 +239,16 @@ def cmd_chain(args, report: dict) -> int:
             "triple": {
                 "ok": triple_ok,
                 # a closure depends only on its seeds' span, which the triple shares
-                "closure_dimension": sub.dimension if triple_ok else None,
+                "closure_dimension": rank.dimension if triple_ok else None,
                 "message": rep.triple_message,
             },
-            "passive": None if sub.full_rank else sub.passive,
-            "diagnostics": _closure_diagnostics(sub),
+            "passive": None if rank.full_rank else rank.passive,
+            "diagnostics": _closure_diagnostics(rank),
         }
     )
     identities_ok = True
     if not unmet and args.identities != "skip":
-        id_report = verify_bracket_identities(spec, tol=args.identity_tol)
+        id_report = verify_bracket_identities(spec, tol=args.identity_tol, model=rep.model)
         identities_ok = id_report.all_pass
         results["identities"] = {
             "all_pass": id_report.all_pass,

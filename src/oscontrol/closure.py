@@ -40,8 +40,10 @@ the result is reproducible bit for bit.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass
-from typing import Iterable
+from typing import ClassVar, Iterable
 
 import numpy as np
 
@@ -77,8 +79,11 @@ class LieSubspace:
     ``pivots[i]`` and 0 at every other pivot. ``passive`` is True exactly
     when every seed commutes with Omega, so that the algebra lies in the
     passive subalgebra u(n) of dimension n^2. ``candidates`` counts the seeds
-    and brackets the closure reduced against its basis.
+    and brackets the closure reduced against its basis. ``certificate`` names
+    how the dimension was decided, for the reports.
     """
+
+    certificate: ClassVar[str] = "exact_mod_p"
 
     n: int
     prime: int
@@ -97,6 +102,19 @@ class LieSubspace:
     @property
     def full_rank(self) -> bool:
         return self.dimension == full_dimension(self.n)
+
+
+def _require_exact_size(n: int) -> None:
+    """Raise ValueError when n is too large for the exact closure.
+
+    A dot product of n(2n+1) pairs of centred residues, each at most
+    (p + 1)/2 for the larger prime of ``PRIMES``, must stay below 2^53. That
+    holds for n <= 127.
+    """
+    bound = (2 ** 53 - 1) // ((max(PRIMES) + 1) // 2) ** 2  # largest admissible n(2n+1)
+    if full_dimension(n) > bound:
+        limit = (math.isqrt(8 * bound + 1) - 1) // 4  # largest n with n(2n+1) <= bound
+        raise ValueError(f"exact closure is limited to n <= {limit}, got n = {n}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -296,18 +314,22 @@ def closure(
     count; see the module docstring for why full rank mod p proves full rank.
 
     An exhausted round budget is reported as ``closed=False``, not raised.
-    Raises ValueError, before any work, for an empty or mixed seed set and
-    for n > 127, where a product of residues could exceed 2^53.
+    Raises ValueError, before any work, for a ``max_rounds`` that is not a
+    non-negative integer, for an empty or mixed seed set and for n > 127
+    (see :func:`_require_exact_size`).
     """
+    if max_rounds is not None and (
+        not isinstance(max_rounds, numbers.Integral) or max_rounds < 0
+    ):
+        raise ValueError(f"max_rounds must be a non-negative integer, got {max_rounds!r}")
     seeds = list(seeds)
     if not seeds:
         raise ValueError("closure needs at least one seed Hamiltonian")
     n = seeds[0].n
     if any(H.n != n for H in seeds):
         raise ValueError(f"mixed mode counts in seeds: {sorted({H.n for H in seeds})}")
+    _require_exact_size(n)
     dim_full = full_dimension(n)
-    if dim_full * ((max(PRIMES) + 1) // 2) ** 2 >= 2 ** 53:
-        raise ValueError(f"exact closure is limited to n <= 127, got n = {n}")
     if max_rounds is None:
         max_rounds = 2 * dim_full
 

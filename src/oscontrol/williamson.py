@@ -148,9 +148,12 @@ def williamson_decompose(H, tol: float = DEFAULT_RESIDUAL_TOL) -> WilliamsonDeco
         freedom when eigenvalues are degenerate.
 
     Raises:
+        ValueError: before any work, for a tol that is NaN, negative or infinite.
         DefinitenessError: A is not positive definite.
         AnalysisError: the residual or the symplecticity audit of V failed.
     """
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     A = _coerce_symmetric(H)
     n = A.shape[0] // 2
     omega = symplectic_form(n)

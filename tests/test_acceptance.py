@@ -196,7 +196,7 @@ def test_criterion_7_positive_triple():
         triple = [H0, H0 + params.alpha * H1, H0 + params.beta * H1 + params.delta * H2]
         assert all(np.linalg.eigvalsh(A)[0] > 0.0 for A in triple)
         mixed = closure([QuadraticHamiltonian(n, A) for A in triple])
-        dims_match = dims_match and rep.subspace.dimension == mixed.dimension
+        dims_match = dims_match and rep.rank.dimension == mixed.dimension
 
     spec = ChainSpec(n=2, omega=1.0, g1=0.2, g2=0.2)
     rejected = 0

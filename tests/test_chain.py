@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from oscontrol import (
+    ChainInduction,
     ChainSpec,
+    LieSubspace,
     QuadraticHamiltonian,
     TripleParams,
     build_chain,
@@ -11,7 +13,9 @@ from oscontrol import (
     full_dimension,
     verify_bracket_identities,
 )
+from oscontrol import chain
 from oscontrol.chain import IDENTITY_NAMES, identity_suite_unmet
+from oscontrol.closure import PRIMES
 from oracles import expand_chain_drift
 
 CANONICAL = ChainSpec(n=3, omega=1.0, g1=0.2, g2=0.2, omega1=1.0, chi=1.0)
@@ -174,7 +178,7 @@ def test_positive_triple_closure_matches_raw_controls():
     rep = controllability_report(spec)
     mixed = closure([QuadraticHamiltonian(2, A) for A in _members(spec, TripleParams())])
     assert rep.triple_message is None
-    assert rep.subspace.dimension == mixed.dimension == full_dimension(2)
+    assert rep.rank.dimension == mixed.dimension == full_dimension(2)
 
 
 def test_identities_all_pass_at_canonical_point():
@@ -235,11 +239,11 @@ def test_controllability_report_canonical(n):
     spec = ChainSpec(n=n, omega=1.0, g1=0.2, g2=0.2)
     rep = controllability_report(spec)
     assert rep.verdict == "CONTROLLABLE"
-    assert rep.subspace.dimension == full_dimension(n)
-    assert rep.subspace.full_rank
+    assert rep.rank.dimension == full_dimension(n)
+    assert rep.rank.full_rank
     assert rep.triple_message is None
     assert rep.positivity.sufficient and rep.positivity.actual
-    assert not rep.subspace.passive
+    assert not rep.rank.passive
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -247,10 +251,10 @@ def test_controllability_report_rotation_only_is_passive(n):
     spec = ChainSpec(n=n, omega=1.0, g1=0.2, g2=0.0)
     rep = controllability_report(spec, include_squeeze_control=False)
     assert rep.verdict == "NOT_ESTABLISHED"
-    assert not rep.subspace.full_rank
-    assert rep.subspace.passive is True
+    assert not rep.rank.full_rank
+    assert rep.rank.passive is True
     assert rep.triple_message == "triple not attempted: squeeze control excluded"
-    assert rep.subspace.dimension <= n * n
+    assert rep.rank.dimension <= n * n
 
 
 @pytest.mark.parametrize("g1,g2", [(0.2, 0.1), (0.3, 0.05), (0.2, 0.0)])
@@ -259,8 +263,8 @@ def test_general_couplings_reach_full_rank(g1, g2):
     # rotating-wave cases are established numerically through the closure
     for n in (2, 3):
         rep = controllability_report(ChainSpec(n=n, omega=1.0, g1=g1, g2=g2))
-        assert rep.subspace.full_rank
-        assert rep.subspace.dimension == full_dimension(n)
+        assert rep.rank.full_rank
+        assert rep.rank.dimension == full_dimension(n)
         assert rep.verdict == "CONTROLLABLE"
         assert rep.triple_message is None
 
@@ -270,7 +274,7 @@ def test_controllability_report_strong_coupling_rank_only():
     # so no positive-definite triple can be validated
     spec = ChainSpec(n=3, omega=1.0, g1=0.4, g2=0.4)
     rep = controllability_report(spec)
-    assert rep.subspace.full_rank
+    assert rep.rank.full_rank
     assert rep.triple_message is not None
     assert rep.verdict == "RANK_ONLY"
     assert "positive definite" in rep.triple_message
@@ -283,7 +287,7 @@ def test_controllability_report_n7_is_controllable(g):
     rep = controllability_report(ChainSpec(n=7, omega=1.0, g1=g, g2=g))
     assert rep.verdict == "CONTROLLABLE"
     assert rep.triple_message is None
-    assert rep.subspace.dimension == full_dimension(7) == 105
+    assert rep.rank.dimension == full_dimension(7) == 105
 
 
 # the float closure lost rank at (6, 0.05), (7, 0.05) and (7, 0.1); the
@@ -295,4 +299,121 @@ CONTROLLABLE_GRID = [(n, g) for n in range(2, 8) for g in (0.05, 0.1, 0.15, 0.2)
 def test_controllable_verdicts_pinned(n, g):
     rep = controllability_report(ChainSpec(n=n, omega=1.0, g1=g, g2=g))
     assert rep.verdict == "CONTROLLABLE"
-    assert rep.subspace.dimension == full_dimension(n)
+    assert rep.rank.dimension == full_dimension(n)
+
+
+# --------------------------------------------------------------------------
+# The chain's induction certificate
+# --------------------------------------------------------------------------
+
+INDUCTION_GRID = [
+    ChainSpec(n=n, omega=1.0, g1=g, g2=g) for n in range(3, 17) for g in (0.05, 0.1, 0.15, 0.2)
+] + [ChainSpec(n=n, omega=1.5, g1=0.1, g2=0.1, omega1=-0.5, chi=2.0) for n in (3, 4, 7)]
+
+
+@pytest.mark.parametrize("spec", INDUCTION_GRID, ids=lambda s: f"n{s.n}-g{s.g1}-w{s.omega}")
+def test_induction_certificate_agrees_with_the_closure(spec):
+    model = build_chain(spec)
+    certificate = chain._chain_induction(spec, model)
+    assert certificate == ChainInduction(n=spec.n, prime=PRIMES[0])
+    sub = closure([model.drift, *model.controls])
+    assert sub.full_rank and sub.dimension == certificate.dimension == full_dimension(spec.n)
+    rep = controllability_report(spec)
+    assert rep.rank == certificate
+    assert (rep.rank.closed, rep.rank.bracket_depth_reached) == (True, None)
+
+
+@pytest.mark.parametrize(
+    "spec,squeeze",
+    [
+        (ChainSpec(n=4, g1=0.2, g2=0.1), True),
+        (ChainSpec(n=4, g1=0.2, g2=0.2), False),
+        (ChainSpec(n=2, g1=0.2, g2=0.2), True),
+        (ChainSpec(n=4, g1=0.2, g2=0.2, omega1=1048573.0), True),  # omega1 = 0 mod p
+    ],
+    ids=["uneven-couplings", "h1-only", "n2", "omega1-vanishes-mod-p"],
+)
+def test_the_closure_decides_where_the_induction_does_not_apply(spec, squeeze):
+    rep = controllability_report(spec, include_squeeze_control=squeeze)
+    assert isinstance(rep.rank, LieSubspace)
+    assert rep.rank.certificate == "exact_mod_p"
+    if squeeze:
+        assert chain._chain_induction(spec, rep.model) is None
+
+
+@pytest.mark.parametrize(
+    "name,window",
+    [(name, 3) for name in IDENTITY_NAMES] + [(name, 2) for name in IDENTITY_NAMES[:-1]],
+)
+def test_a_broken_identity_makes_the_induction_refuse(monkeypatch, name, window):
+    # check (a) runs the 3-site window, check (b) the 2-site one, which has
+    # no long-distance identity
+    table = chain._identity_table
+
+    def broken(spec, model, field):
+        rows = table(spec, model, field)
+        if spec.n != window:
+            return rows
+        return [(k, d, (lambda s, f=lhs: 2 * f(s)) if k == name else lhs, rhs)
+                for k, d, lhs, rhs in rows]
+
+    monkeypatch.setattr(chain, "_identity_table", broken)
+    spec = ChainSpec(n=4, g1=0.2, g2=0.2)
+    assert chain._chain_induction(spec, build_chain(spec)) is None
+    rep = controllability_report(spec)
+    assert rep.rank.certificate == "exact_mod_p"
+    assert rep.verdict == "CONTROLLABLE"
+
+
+def test_gluing_lemma_closes_to_sp6(monkeypatch):
+    lemma = chain._gluing_lemma()
+    assert lemma.prime == PRIMES[0]
+    assert lemma.dimension == full_dimension(3) == 21
+    # a lemma short of sp(6) proves nothing: the closure decides
+    short = closure([build_chain(ChainSpec(n=3)).drift])
+    monkeypatch.setattr(chain, "_gluing_lemma", lambda: short)
+    spec = ChainSpec(n=5, g1=0.1, g2=0.1)
+    assert chain._chain_induction(spec, build_chain(spec)) is None
+    assert controllability_report(spec).rank.certificate == "exact_mod_p"
+
+
+def test_the_induction_runs_one_closure_per_process_whatever_n(monkeypatch):
+    calls = []
+
+    def counted(seeds, *args, **kwargs):
+        seeds = list(seeds)
+        calls.append((len(seeds), seeds[0].n))
+        return closure(seeds, *args, **kwargs)
+
+    chain._gluing_lemma.cache_clear()
+    monkeypatch.setattr(chain, "closure", counted)
+    try:
+        for n in (3, 10, 40, 100):
+            rep = controllability_report(ChainSpec(n=n, g1=0.1, g2=0.1))
+            assert rep.rank.dimension == n * (2 * n + 1)
+            assert rep.verdict == "CONTROLLABLE"
+    finally:
+        chain._gluing_lemma.cache_clear()
+    assert calls == [(14, 3)]  # the gluing lemma's 14 seeds on 3 sites, once
+
+
+def test_identity_records_read_the_three_site_window():
+    spec = ChainSpec(n=8, g1=0.15, g2=0.15, omega1=0.5, chi=2.0)
+    from_model = verify_bracket_identities(spec, model=build_chain(spec))
+    built = verify_bracket_identities(spec)
+    assert from_model.all_pass
+    for a, b in zip(from_model.records, built.records):
+        assert a.lhs.shape == a.rhs.shape == (6, 6)
+        assert np.array_equal(a.lhs, b.lhs) and a.residual == b.residual
+    with pytest.raises(ValueError, match="model has 3 sites"):
+        verify_bracket_identities(spec, model=build_chain(ChainSpec(n=3, g1=0.15, g2=0.15)))
+
+
+def test_chain_length_is_bounded_before_the_chain_is_built(monkeypatch):
+    def no_build(spec):
+        raise AssertionError("the chain was built")
+
+    monkeypatch.setattr(chain, "build_chain", no_build)
+    for n in (128, 5000):
+        with pytest.raises(ValueError, match=rf"^exact closure is limited to n <= 127, got n = {n}$"):
+            controllability_report(ChainSpec(n=n, g1=0.2, g2=0.2))

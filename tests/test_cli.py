@@ -579,7 +579,8 @@ def test_chain_passive_regime_reaches_n_squared(capsys, n):
 
 
 def test_closure_certificate_in_chain_and_rank_reports(capsys):
-    code, out, _ = run_cli(capsys, "chain", "--n", "3")
+    # uneven couplings leave the chain's rank to the closure
+    code, out, _ = run_cli(capsys, "chain", "--n", "3", "--g2", "0.1")
     assert code == 0
     chain_report = report_of(out)
     code, out, _ = run_cli(capsys, "rank", "--model", str(MODELS / "chain_n3.json"))
@@ -596,6 +597,35 @@ def test_closure_certificate_in_chain_and_rank_reports(capsys):
         assert "residual_spectrum" not in report["results"]
     assert chain_report["tolerances"] == {"identity_tol": 1e-12}
     assert rank_report["tolerances"] == {"max_rounds": 42}
+
+
+@pytest.mark.parametrize("n", [3, 100])
+def test_chain_induction_certificate_in_chain_report(capsys, monkeypatch, n):
+    # the suite's preconditions hold, so the induction decides the rank with
+    # no closure of the chain, and the report builds the chain once
+    import oscontrol.chain
+
+    builds = []
+    build_chain = oscontrol.chain.build_chain
+    monkeypatch.setattr(
+        oscontrol.chain, "build_chain", lambda spec: builds.append(spec.n) or build_chain(spec)
+    )
+    code, out, _ = run_cli(capsys, "chain", "--n", str(n))
+    res = report_of(out)["results"]
+    assert code == 0
+    assert builds == [n]
+    assert res["verdict"] == "CONTROLLABLE"
+    assert res["dimension"] == res["dimension_full"] == n * (2 * n + 1)
+    assert (res["rank_criterion_met"], res["closed"], res["bracket_depth"]) == (True, True, None)
+    assert res["diagnostics"] == {"closure": {"certificate": "chain_induction", "prime": 1048573}}
+    assert res["triple"]["closure_dimension"] == res["dimension"]
+    assert res["identities"]["all_pass"] is True
+
+
+def test_chain_beyond_the_closure_limit_exits_two_without_a_report(capsys):
+    code, out, err = run_cli(capsys, "chain", "--n", "128")
+    assert code == 2
+    assert (out, err) == ("", "error: exact closure is limited to n <= 127, got n = 128\n")
 
 
 @pytest.mark.parametrize("command", ["rank", "chain"])

@@ -239,6 +239,16 @@ def test_closure_input_validation():
         closure(mixed)
 
 
+@pytest.mark.parametrize("max_rounds", [-1, 1.5, 2.0])
+def test_closure_rejects_bad_round_budgets_before_any_work(monkeypatch, max_rounds):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the closure ran")
+
+    monkeypatch.setattr(closure_module, "_close", no_work)
+    with pytest.raises(ValueError, match="max_rounds must be a non-negative integer"):
+        closure(_chain_seeds(3, 0.2, 0.2), max_rounds=max_rounds)
+
+
 def test_closure_is_deterministic():
     seeds = _chain_seeds(3, 0.2, 0.2)
     a = closure(seeds)

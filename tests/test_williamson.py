@@ -194,6 +194,13 @@ def test_plain_matrix_input_is_validated_like_a_hamiltonian():
                 fn(A)
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+def test_williamson_rejects_a_tolerance_that_is_nan_negative_or_infinite(tol):
+    # a nan tolerance once accepted any residual: residual > nan * scale is false
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        williamson_decompose(QuadraticHamiltonian(1, np.diag([1.0, 2.0])), tol=tol)
+
+
 def test_williamson_rejects_indefinite_with_offender():
     A = np.diag([2.0, 1.0, 1.0, -0.5])
     with pytest.raises(DefinitenessError) as info:
