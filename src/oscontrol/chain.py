@@ -280,6 +280,50 @@ def _residues(p: int) -> _Field:
     )
 
 
+class _Units(NamedTuple):
+    """The identity suite's parameter-free unit generators on one window."""
+
+    sq_anti_1: np.ndarray
+    sq_anti_2: np.ndarray
+    sq_sym_2: np.ndarray
+    ex_anti_12: np.ndarray
+    ex_sym_12: np.ndarray
+    pr_anti_12: np.ndarray
+    pr_sym_12: np.ndarray
+    num_2: np.ndarray
+    ex_sym_23: Optional[np.ndarray]  # None on the 2-site window
+    ex_sym_13: Optional[np.ndarray]
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_generators(n: int) -> _Units:
+    """The unit generators on the n-site window, built once per window size.
+
+    They are read-only, and their entries are 0, +-1 and +-2: they are their
+    own centred residues mod any prime of the closure, so they serve every
+    field as they are.
+    """
+
+    def term(t: ham.HamiltonianTerm) -> np.ndarray:
+        return ham.generator(ham.from_terms(n, [t]))
+
+    def anti(A: np.ndarray) -> np.ndarray:
+        return ham.generator(QuadraticHamiltonian(n, A))
+
+    return _Units(
+        sq_anti_1=anti(_squeeze_anti_form(n, 1)),
+        sq_anti_2=anti(_squeeze_anti_form(n, 2)),
+        sq_sym_2=term(ham.squeeze(2, 1.0)),
+        ex_anti_12=anti(_exchange_anti_form(n, 1, 2)),
+        ex_sym_12=term(ham.hop(1, 2, 1.0)),
+        pr_anti_12=anti(_pair_anti_form(n, 1, 2)),
+        pr_sym_12=term(ham.pair(1, 2, 1.0)),
+        num_2=term(ham.number(2, 1.0)),
+        ex_sym_23=term(ham.hop(2, 3, 1.0)) if n >= 3 else None,
+        ex_sym_13=term(ham.hop(1, 3, 1.0)) if n >= 3 else None,
+    )
+
+
 def _identity_table(
     spec: ChainSpec, model: ControlModel, field: _Field,
 ) -> list[tuple[str, str, Callable[[float], np.ndarray], np.ndarray]]:
@@ -292,12 +336,13 @@ def _identity_table(
 
     Each lhs builder takes a scale factor applied to the identity's one
     mutable coefficient, so the test harness can prove non-vacuity by
-    perturbing coefficients individually. Operands are always the
-    unit-coefficient generators built here, never the output of a previous
-    identity, so a mutation stays confined to its own record. In table
-    order, each lhs is formed from the seeds {iH0, iH1, iH2} and the rhs of
-    earlier identities only; long-distance-13 alone also uses the bond
-    (2, 3). So every rhs but that one lies in the Lie algebra of the seeds.
+    perturbing coefficients individually. Operands are always the seeds and
+    the unit-coefficient generators of ``_unit_generators``, never the
+    output of a previous identity, so a mutation stays confined to its own
+    record. In table order, each lhs is formed from the seeds
+    {iH0, iH1, iH2} and the rhs of earlier identities only; long-distance-13
+    alone also uses the bond (2, 3). So every rhs but that one lies in the
+    Lie algebra of the seeds.
 
     Bracket combinations carry exact parameter scalings. The derivations fix
     three places where the unit-coefficient shorthand would break down for
@@ -309,25 +354,9 @@ def _identity_table(
     w, w1, x, g = (field.scalar(v) for v in (spec.omega, spec.omega1, spec.chi, spec.g1))
     br, div = field.bracket, field.divide
 
-    def gen(H: QuadraticHamiltonian) -> np.ndarray:
-        return field.element(ham.generator(H))
-
-    def term(t: ham.HamiltonianTerm) -> np.ndarray:
-        return gen(ham.from_terms(n, [t]))
-
-    def anti(A: np.ndarray) -> np.ndarray:
-        return gen(QuadraticHamiltonian(n, A))
-
-    h0, h1, h2 = (gen(H) for H in (model.drift, *model.controls))
-
-    sq_anti_1 = anti(_squeeze_anti_form(n, 1))
-    sq_anti_2 = anti(_squeeze_anti_form(n, 2))
-    sq_sym_2 = term(ham.squeeze(2, 1.0))
-    ex_anti_12 = anti(_exchange_anti_form(n, 1, 2))
-    ex_sym_12 = term(ham.hop(1, 2, 1.0))
-    pr_anti_12 = anti(_pair_anti_form(n, 1, 2))
-    pr_sym_12 = term(ham.pair(1, 2, 1.0))
-    num_2 = term(ham.number(2, 1.0))
+    h0, h1, h2 = (field.element(ham.generator(H)) for H in (model.drift, *model.controls))
+    (sq_anti_1, sq_anti_2, sq_sym_2, ex_anti_12, ex_sym_12, pr_anti_12, pr_sym_12, num_2,
+     ex_sym_23, ex_sym_13) = _unit_generators(n)
     mix_12 = ex_anti_12 + pr_anti_12
     mix_sym_12 = ex_sym_12 + pr_sym_12
 
@@ -426,8 +455,6 @@ def _identity_table(
         return table
     # [i(a2^dag a3 + a2 a3^dag), a1 a2^dag - a1^dag a2] = i(a1^dag a3 + a1 a3^dag):
     # distant sites connect through one shared-site bracket with unit scalar
-    ex_sym_23 = term(ham.hop(2, 3, 1.0))
-    ex_sym_13 = term(ham.hop(1, 3, 1.0))
     add(
         "long-distance-13",
         "beam-splitter between sites 1 and 3 through the shared site 2",

@@ -169,9 +169,10 @@ def cmd_recur(args, report: dict) -> int:
         mode_distance_at_tau=result.mode_distance_at_tau,
         K=result.conditioning,
         best_distance_seen=result.best_distance_seen,
+        budget_exhausted=result.budget_exhausted,
         nu=list(result.nu),
     )
-    return 0  # horizon exhaustion is an honest negative, still exit 0
+    return 0  # horizon or budget exhaustion is an honest negative, still exit 0
 
 
 def cmd_evolve(args, report: dict) -> int:

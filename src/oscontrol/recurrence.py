@@ -14,8 +14,20 @@ on a grid and refine its local minima; a refined minimum with
 K * mode_distance <= epsilon is certified by the bound, and one evaluation
 of the true propagator distance confirms it.
 
+One kernel evaluates the mode distance everywhere: it sums the modes in
+order into one vector the length of the times, so a grid chunk of 2^18
+points costs a few passes per mode and no (points x modes) temporary. The
+grid scan calls ``mode_distance`` once per chunk; the refine calls the
+kernel directly, golden-section on a batch of a chunk's candidate minima in
+lockstep, each with its own bracket, width target and stop. The batches
+follow grid order and double in size, and the refined minima are confirmed
+in grid order, so the answer is the one a candidate-by-candidate search
+gives.
+
 The search is existence-driven, not optimal: horizon exhaustion is an honest
-``found=False``, never an exception.
+``found=False``, never an exception. Its work is bounded: past
+``GRID_POINT_BUDGET`` grid points the scan stops short of the horizon, and
+the result says so in ``budget_exhausted``.
 """
 
 from __future__ import annotations
@@ -40,7 +52,28 @@ __all__ = [
 
 DEFAULT_GRID_POINTS_PER_PERIOD = 16
 DEFAULT_HORIZON_PERIODS = 1e5
+# grid points one search may scan: a few seconds even where every grid minimum
+# is a refined candidate; the default horizon of nu_max / nu_min < 10 fits
+GRID_POINT_BUDGET = 1 << 24
 _CHUNK = 1 << 18
+_FIRST_BATCH = 64  # candidates in a chunk's first lockstep refine
+
+
+def _mode_distance(nu: tuple[float, ...], t: np.ndarray) -> np.ndarray:
+    """sqrt(8 sum_k sin^2(nu_k t / 2)) at a 1-d float array of times t.
+
+    The one kernel of the mode distance: the modes are summed in order into
+    one preallocated vector, then scaled and rooted in place.
+    """
+    total = np.zeros_like(t)
+    term = np.empty_like(t)
+    for v in nu:
+        np.multiply(t, 0.5 * v, out=term)
+        np.sin(term, out=term)
+        np.multiply(term, term, out=term)
+        total += term
+    total *= 8.0
+    return np.sqrt(total, out=total)
 
 
 def mode_distance(nu, t):
@@ -55,8 +88,7 @@ def mode_distance(nu, t):
     if np.any(nu <= 0) or not np.all(np.isfinite(nu)):
         raise ValueError("mode frequencies must be positive and finite")
     t_arr = np.asarray(t, dtype=float)
-    s = np.sin(0.5 * np.outer(np.atleast_1d(t_arr).ravel(), nu))
-    d = np.sqrt(8.0 * np.sum(s * s, axis=1))
+    d = _mode_distance(tuple(nu.tolist()), t_arr.ravel())
     if t_arr.ndim == 0:
         return float(d[0])
     return d.reshape(t_arr.shape)
@@ -101,7 +133,9 @@ class RecurrenceResult:
     """Search outcome; tau and the distances are None when nothing was found.
 
     ``nu`` holds the symplectic eigenvalues, ascending, from the same
-    Williamson decomposition that supplies K.
+    Williamson decomposition that supplies K. ``budget_exhausted`` says the
+    grid scan stopped at ``GRID_POINT_BUDGET`` points before the horizon, so
+    a negative result covers only the times scanned.
     """
 
     found: bool
@@ -111,39 +145,53 @@ class RecurrenceResult:
     conditioning: float  # K = ||V||_F^2
     best_distance_seen: float
     nu: tuple[float, ...]
+    budget_exhausted: bool  # the scan stopped at GRID_POINT_BUDGET, short of max_time
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _refine(fun, lo: float, hi: float, xatol: float = 1e-12) -> tuple[float, float]:
-    """Golden-section minimisation with a width target in absolute time.
+def _refine(
+    nu: tuple[float, ...], lo: np.ndarray, hi: np.ndarray, xatol: float = 1e-12,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section minimisation of the mode distance on brackets [lo, hi].
 
-    The mode distance is V-shaped at a recurrence, so function values
-    stay informative arbitrarily close to the minimiser; a library bounded
-    minimiser with a relative sqrt(eps)*|x| floor would stall three decades
-    too early for the distances this search must certify. The target is
-    floored at a few ulps of the bracket (an interval at large t cannot
-    shrink below the float spacing there) and iterations are capped.
+    All brackets are refined in lockstep; each keeps its own width target
+    and stops on its own, so each ends where a refine of it alone would.
+    The target is in absolute time: the mode distance is V-shaped at a
+    recurrence, so function values stay informative arbitrarily close to
+    the minimiser, and a library bounded minimiser with a relative
+    sqrt(eps)*|x| floor would stall three decades too early for the
+    distances this search must certify. The target is floored at a few ulps
+    of the bracket (an interval at large t cannot shrink below the float
+    spacing there) and iterations are capped. Returns the minimisers and
+    their mode distances.
     """
-    a, b = lo, hi
-    tol = max(xatol, 4.0 * np.spacing(max(abs(a), abs(b))))
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    tol = np.maximum(xatol, 4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
-    fc, fd = fun(c), fun(d)
+    fc, fd = _mode_distance(nu, c), _mode_distance(nu, d)
     for _ in range(256):
-        if b - a <= tol:
+        live = b - a > tol
+        if not live.any():
             break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = fun(d)
-    x = c if fc <= fd else d
-    return float(x), float(min(fc, fd))
+        left = fc <= fd  # the minimum lies in [a, d]
+        go_left, go_right = live & left, live & ~left
+        np.copyto(b, d, where=go_left)
+        np.copyto(d, c, where=go_left)
+        np.copyto(fd, fc, where=go_left)
+        np.copyto(a, c, where=go_right)
+        np.copyto(c, d, where=go_right)
+        np.copyto(fc, fd, where=go_right)
+        step = _INV_GOLDEN * (b - a)
+        x = np.where(left, b - step, a + step)
+        fx = _mode_distance(nu, x)  # finished brackets are evaluated too, and discarded
+        np.copyto(c, x, where=go_left)
+        np.copyto(fc, fx, where=go_left)
+        np.copyto(d, x, where=go_right)
+        np.copyto(fd, fx, where=go_right)
+    return np.where(fc <= fd, c, d), np.minimum(fc, fd)
 
 
 def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
@@ -158,7 +206,8 @@ def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
     the refined best grid minimum gets one true-distance evaluation, and a
     distance below epsilon there is returned as found too. Otherwise the
     result is negative, and best_distance_seen is the smallest true distance
-    evaluated.
+    evaluated. A scan that reaches GRID_POINT_BUDGET points stops there with
+    budget_exhausted set; the fallback evaluation still runs on what it saw.
     """
     H = query.hamiltonian
     dec = williamson_decompose(H)  # raises DefinitenessError when A is not > 0
@@ -172,19 +221,18 @@ def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
         t_end = query.min_time + DEFAULT_HORIZON_PERIODS * (2.0 * math.pi / float(nu[0]))
     threshold = query.epsilon / K
 
-    nu_list = [float(v) for v in nu]
+    nu_modes = tuple(float(v) for v in nu)
     # refinement can lower a grid value by at most lipschitz * h, so grid
     # minima above threshold + margin provably cannot pass the filter
-    lipschitz = math.sqrt(2.0 * sum(v * v for v in nu_list))
+    lipschitz = math.sqrt(2.0 * sum(v * v for v in nu_modes))
     margin = lipschitz * h
 
     def true_distance(t: float) -> float:
         return identity_distance(expm(G, t))
 
-    def mode_at(t: float) -> float:
-        return math.sqrt(8.0 * sum(math.sin(0.5 * v * t) ** 2 for v in nu_list))
-
     n_points = int(math.floor((t_end - query.min_time) / h))
+    budget_exhausted = n_points > GRID_POINT_BUDGET
+    n_points = min(n_points, GRID_POINT_BUDGET)
     best_true = math.inf
     best_grid: Optional[tuple[float, float]] = None  # lowest unrefined grid minimum
 
@@ -196,28 +244,46 @@ def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
             mode_distance_at_tau=d_star,
             conditioning=K,
             best_distance_seen=best_true,
-            nu=tuple(nu_list),
+            nu=nu_modes,
+            budget_exhausted=budget_exhausted,
         )
 
-    def consider(t_center: float) -> Optional[RecurrenceResult]:
+    def refine(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _refine(nu_modes, np.maximum(centers - h, query.min_time), centers + h)
+
+    def consider(centers: np.ndarray) -> Optional[RecurrenceResult]:
+        """Refine the grid minima at ``centers`` and confirm them in grid order.
+
+        A lockstep refine takes some 60 steps of a few dozen numpy calls
+        whatever its size, so one bracket costs about as much as 64, while a
+        chunk can hold thousands of candidates of which the first may
+        already be confirmed. So the candidates go in batches that double
+        from ``_FIRST_BATCH``: the batches per chunk grow as log2, and the
+        refines past the first confirmed candidate are at most as many as
+        those before it, plus 64.
+        """
         nonlocal best_true
-        t_star, d_star = _refine(mode_at, max(t_center - h, query.min_time), t_center + h)
-        if d_star <= threshold and t_star > query.min_time:
-            dist = true_distance(t_star)
-            best_true = min(best_true, dist)
-            if dist < query.epsilon:
-                return result(t_star, dist, d_star)
+        start, size = 0, _FIRST_BATCH
+        while start < centers.size:
+            batch = refine(centers[start:start + size])
+            for t_star, d_star in zip(*(x.tolist() for x in batch)):
+                if d_star <= threshold and t_star > query.min_time:
+                    dist = true_distance(t_star)
+                    best_true = min(best_true, dist)
+                    if dist < query.epsilon:
+                        return result(t_star, dist, d_star)
+            start, size = start + size, 2 * size
         return None
 
-    if n_points <= 2:
-        for j in range(1, n_points + 1):
-            t = query.min_time + j * h
-            if best_grid is None or mode_at(t) < best_grid[1]:
-                best_grid = (t, mode_at(t))
-            hit = consider(t)
-            if hit is not None:
-                return hit
-    else:
+    if 1 <= n_points <= 2:
+        ts = query.min_time + np.arange(1, n_points + 1) * h
+        d = mode_distance(nu, ts)
+        k_best = int(np.argmin(d))
+        best_grid = (float(ts[k_best]), float(d[k_best]))
+        hit = consider(ts)
+        if hit is not None:
+            return hit
+    elif n_points > 2:
         # chunked scan with one-point overlap so interior minima at chunk
         # boundaries are not missed
         j = 1
@@ -231,18 +297,15 @@ def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
                 k_best = int(interior[np.argmin(d[interior])])
                 if best_grid is None or d[k_best] < best_grid[1]:
                     best_grid = (float(ts[k_best]), float(d[k_best]))
-                for k in interior[d[interior] <= threshold + margin]:
-                    hit = consider(float(ts[k]))
-                    if hit is not None:
-                        return hit
+                hit = consider(ts[interior[d[interior] <= threshold + margin]])
+                if hit is not None:
+                    return hit
             j = j_hi + 1
 
     if not math.isfinite(best_true) and best_grid is not None:
         # report an honest true distance at the best bound seen; the bound
         # is loose by up to K, so that distance may itself be below epsilon
-        t_star, d_star = _refine(
-            mode_at, max(best_grid[0] - h, query.min_time), best_grid[0] + h
-        )
+        t_star, d_star = (float(x[0]) for x in refine(np.array([best_grid[0]])))
         best_true = true_distance(t_star)
         if best_true < query.epsilon and t_star > query.min_time:
             return result(t_star, best_true, d_star)

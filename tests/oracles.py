@@ -9,6 +9,8 @@ of incremental Gram-Schmidt.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -173,6 +175,45 @@ def brute_force_closure_rank_mod_p(seed_mats, p: int = 1_000_003, max_rounds: in
         if not grown:
             break
     return len(echelon)
+
+
+# --- recurrence oracles -----------------------------------------------------
+
+
+def outer_mode_distance(nu, t) -> np.ndarray:
+    """sqrt(8 sum_k sin^2(nu_k t / 2)) through the (len(t), n) outer product."""
+    nu = np.asarray(nu, dtype=float)
+    s = np.sin(0.5 * np.outer(np.atleast_1d(np.asarray(t, dtype=float)).ravel(), nu))
+    return np.sqrt(8.0 * np.sum(s * s, axis=1))
+
+
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def scalar_refine(fun, lo: float, hi: float, xatol: float = 1e-12) -> tuple[float, float]:
+    """Golden-section minimisation with a width target in absolute time.
+
+    One bracket at a time, one scalar evaluation per step: the reference
+    the lockstep refine of many brackets must reproduce bit for bit.
+    """
+    a, b = lo, hi
+    tol = max(xatol, 4.0 * np.spacing(max(abs(a), abs(b))))
+    c = b - _INV_GOLDEN * (b - a)
+    d = a + _INV_GOLDEN * (b - a)
+    fc, fd = fun(c), fun(d)
+    for _ in range(256):
+        if b - a <= tol:
+            break
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_GOLDEN * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_GOLDEN * (b - a)
+            fd = fun(d)
+    x = c if fc <= fd else d
+    return float(x), float(min(fc, fd))
 
 
 # --- random matrix factories ------------------------------------------------

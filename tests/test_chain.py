@@ -365,6 +365,41 @@ def test_a_broken_identity_makes_the_induction_refuse(monkeypatch, name, window)
     assert rep.verdict == "CONTROLLABLE"
 
 
+def test_unit_generators_are_built_once_and_shared(monkeypatch):
+    # the suite's parameter-free generators do not depend on the chain's
+    # parameters: two reports read the same read-only arrays, mod p and over
+    # the reals, and each array is its own centred residue
+    from oscontrol.closure import _to_field
+
+    table = chain._identity_table
+    rows = []
+
+    def spy(spec, model, field):
+        out = table(spec, model, field)
+        rows.append({name: rhs for name, _, _, rhs in out})
+        return out
+
+    monkeypatch.setattr(chain, "_identity_table", spy)
+    for spec in (ChainSpec(n=5, g1=0.2, g2=0.2),
+                 ChainSpec(n=4, g1=0.1, g2=0.1, omega1=0.5, chi=2.0)):
+        rep = controllability_report(spec)
+        assert rep.rank.certificate == "chain_induction"
+        verify_bracket_identities(spec, 1e-9, model=rep.model)
+    assert [len(r) for r in rows] == [12, 11, 12, 12, 11, 12]
+    units = chain._unit_generators(3)
+    for name, unit in (("squeeze-anti-1", units.sq_anti_1), ("pair-sym-12", units.pr_sym_12),
+                       ("exchange-sym-12", units.ex_sym_12), ("long-distance-13", units.ex_sym_13)):
+        assert all(r[name] is unit for r in rows if len(r) == 12)
+    assert all(r["number-2"] is chain._unit_generators(2).num_2 for r in rows if len(r) == 11)
+    for m in (2, 3):
+        for unit in chain._unit_generators(m):
+            if unit is None:
+                continue
+            assert not unit.flags.writeable
+            assert np.array_equal(_to_field(unit, PRIMES[0]), unit)
+    assert chain._unit_generators(2).ex_sym_13 is None
+
+
 def test_gluing_lemma_closes_to_sp6(monkeypatch):
     lemma = chain._gluing_lemma()
     assert lemma.prime == PRIMES[0]

@@ -242,6 +242,28 @@ def test_recur_incommensurate_fixture(capsys):
     assert report["results"]["tau"] > 10.0
 
 
+def test_recur_beyond_the_grid_budget_is_an_honest_negative(capsys):
+    # t-max 1e15 would be about 2.5e15 grid points; the scan stops at the budget
+    code, out, _ = run_cli(
+        capsys, "recur", "--model", str(MODELS / "single_mode.json"),
+        "--epsilon", "1e-300", "--t-max", "1e15",
+    )
+    results = report_of(out)["results"]
+    assert code == 0
+    assert results["found"] is False
+    assert results["budget_exhausted"] is True
+    assert results["tau"] is None
+
+
+def test_recur_within_the_budget_reports_it_unspent(capsys):
+    code, out, _ = run_cli(
+        capsys, "recur", "--model", str(MODELS / "incommensurate_pair.json"),
+        "--epsilon", "0.5", "--t-max", "100",
+    )
+    assert code == 0
+    assert report_of(out)["results"]["budget_exhausted"] is False
+
+
 @pytest.mark.parametrize("model", ["incommensurate_pair.json", "chain_n3.json"])
 def test_recur_report_nu_matches_symplectic_eigenvalues(capsys, model):
     # nu comes from the search's own Williamson decomposition; the direct

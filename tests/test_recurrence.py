@@ -22,7 +22,13 @@ from oscontrol import (
     symplectic_form,
     williamson_decompose,
 )
-from oracles import pairing_route_bound, random_positive_definite
+from oracles import (
+    outer_mode_distance,
+    pairing_route_bound,
+    random_positive_definite,
+    scalar_refine,
+)
+from oscontrol import recurrence
 
 TWO_PI = 2.0 * math.pi
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -264,3 +270,117 @@ def test_achieved_distance_matches_closed_form_at_large_times():
     assert result.found
     assert result.tau > 5e4
     assert result.achieved_distance == pytest.approx(mode_distance([1.0, r2], result.tau), abs=1e-9)
+
+
+def test_mode_distance_matches_the_outer_product_oracle():
+    # the kernel sums the modes in order; so does numpy's row sum below 8 modes
+    rng = np.random.default_rng(5)
+    for n in range(1, 8):
+        nu = rng.uniform(0.1, 5.0, n)
+        ts = np.concatenate([rng.uniform(0.0, 1e5, 500), rng.uniform(0.0, 1e12, 100)])
+        assert np.array_equal(mode_distance(nu, ts), outer_mode_distance(nu, ts))
+        assert mode_distance(nu, float(ts[0])) == outer_mode_distance(nu, ts[:1])[0]
+
+
+def _brackets(rng, nu):
+    """Grid-cell brackets at small and large t, some clipped at a min_time."""
+    h = (TWO_PI / max(nu)) / 16
+    lo, hi = [], []
+    for kind in ("plain", "clipped", "large") * 20:
+        t = rng.uniform(1e7, 1e12) if kind == "large" else rng.uniform(0.0, 1e5)
+        floor = rng.uniform(t - h, t) if kind == "clipped" else 0.0
+        lo.append(max(t - h, floor))
+        hi.append(t + h)
+    return np.array(lo), np.array(hi)
+
+
+def test_batched_refine_matches_the_scalar_refine_bit_for_bit():
+    # every bracket of a batch must end where a refine of it alone ends,
+    # each stopping at its own ulp-floored width; both evaluate one kernel
+    rng = np.random.default_rng(29)
+    checked = floored = 0
+    for n in (1, 2, 3, 4):
+        nu = tuple(rng.uniform(0.3, 3.0, n).tolist())
+        lo, hi = _brackets(rng, nu)
+        t_star, d_star = recurrence._refine(nu, lo, hi)
+
+        def fun(t, nu=nu):
+            return float(recurrence._mode_distance(nu, np.array([t]))[0])
+
+        for i in range(len(lo)):
+            assert (t_star[i], d_star[i]) == scalar_refine(fun, float(lo[i]), float(hi[i]))
+            assert lo[i] <= t_star[i] <= hi[i]
+            floored += 4.0 * np.spacing(hi[i]) > 1e-12
+            checked += 1
+    assert checked >= 200
+    assert floored >= 60
+
+
+def _count_grid_points(monkeypatch) -> list:
+    sizes = []
+
+    def counted(nu, t):
+        sizes.append(np.size(t))
+        return mode_distance(nu, t)
+
+    monkeypatch.setattr("oscontrol.recurrence.mode_distance", counted)
+    return sizes
+
+
+def test_refine_does_not_count_as_grid_points(monkeypatch):
+    # one chunk: the grid indices 0..n_points - 1 go through mode_distance once,
+    # and the refine of the candidates calls the kernel directly
+    H = QuadraticHamiltonian(2, np.eye(4))
+    query = RecurrenceQuery(hamiltonian=H, epsilon=0.1, min_time=1.0, max_time=10.0)
+    sizes = _count_grid_points(monkeypatch)
+    result = find_recurrence(query)
+    assert result.found
+    assert result.tau == pytest.approx(TWO_PI, abs=1e-6)
+    h = TWO_PI / query.grid_points_per_period
+    n_points = math.floor((10.0 - 1.0) / h)
+    assert sizes == [n_points]
+    # a horizon of two grid points is scanned point by point, once
+    sizes.clear()
+    find_recurrence(RecurrenceQuery(hamiltonian=H, epsilon=0.1, min_time=1.0, max_time=1.0 + 2.5 * h))
+    assert sizes == [2]
+
+
+def test_grid_point_budget_stops_the_scan(monkeypatch):
+    monkeypatch.setattr(recurrence, "GRID_POINT_BUDGET", 1000)
+    H = QuadraticHamiltonian(2, np.diag([1.0, 1.0, GOLDEN, GOLDEN]))
+    sizes = _count_grid_points(monkeypatch)
+    result = find_recurrence(RecurrenceQuery(hamiltonian=H, epsilon=1e-6, min_time=1.0))
+    assert not result.found
+    assert result.budget_exhausted
+    assert sum(sizes) == 1000
+    assert math.isfinite(result.best_distance_seen)
+    # a search inside the budget reaches its horizon, as before
+    sizes.clear()
+    within = find_recurrence(
+        RecurrenceQuery(hamiltonian=H, epsilon=1e-6, min_time=1.0, max_time=200.0)
+    )
+    assert not within.found and not within.budget_exhausted
+    assert 0 < sum(sizes) <= 1000
+
+
+def test_refine_batches_do_not_change_the_answer(monkeypatch):
+    # the first confirmed candidate lies past the first batch, so the
+    # search runs a second, doubled batch; one candidate per batch and the
+    # whole chunk in one batch must find the same tau and distances
+    nu = [1.0, math.sqrt(2.0), math.sqrt(3.0)]
+    H = QuadraticHamiltonian(3, np.diag(np.repeat(nu, 2)))
+    query = RecurrenceQuery(hamiltonian=H, epsilon=0.5, min_time=1.0)
+    refine = recurrence._refine
+    sizes = []
+
+    def counted(nu, lo, hi):
+        sizes.append(len(lo))
+        return refine(nu, lo, hi)
+
+    monkeypatch.setattr(recurrence, "_refine", counted)
+    result = find_recurrence(query)
+    assert result.found
+    assert sizes == [64, 128]
+    for first in (1, 1 << 30):
+        monkeypatch.setattr(recurrence, "_FIRST_BATCH", first)
+        assert find_recurrence(query) == result
