@@ -15,7 +15,7 @@ from oscontrol import (
 )
 from oscontrol import chain
 from oscontrol.chain import IDENTITY_NAMES, identity_suite_unmet
-from oscontrol.closure import PRIMES
+from oscontrol.closure import PRIMES, _to_field
 from oracles import expand_chain_drift
 
 CANONICAL = ChainSpec(n=3, omega=1.0, g1=0.2, g2=0.2, omega1=1.0, chi=1.0)
@@ -369,8 +369,6 @@ def test_unit_generators_are_built_once_and_shared(monkeypatch):
     # the suite's parameter-free generators do not depend on the chain's
     # parameters: two reports read the same read-only arrays, mod p and over
     # the reals, and each array is its own centred residue
-    from oscontrol.closure import _to_field
-
     table = chain._identity_table
     rows = []
 
