@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass, replace
 from typing import Callable, ClassVar, Mapping, NamedTuple, Optional, Union
 
@@ -27,7 +26,6 @@ from .closure import (
 )
 from .evolution import ControlModel
 from .hamiltonians import QuadraticHamiltonian
-from .symplectic import commutator
 from .williamson import _positive_definite
 
 __all__ = [
@@ -102,15 +100,13 @@ def _controls(spec: ChainSpec) -> tuple[QuadraticHamiltonian, QuadraticHamiltoni
     )
 
 
-def _window(
-    spec: ChainSpec, model: ControlModel, m: int, **controls: float,
-) -> tuple[ChainSpec, ControlModel]:
+def _window(spec: ChainSpec, model: ControlModel, m: int) -> tuple[ChainSpec, ControlModel]:
     """The chain on sites 1..m of ``model``, the chain of ``spec``: (spec, model).
 
     Its drift is the top-left 2m x 2m block of ``model``'s, which is the
-    m-site chain's drift exactly; ``controls`` may override omega1 and chi.
+    m-site chain's drift exactly.
     """
-    window = replace(spec, n=m, **controls)
+    window = replace(spec, n=m)
     drift = QuadraticHamiltonian(m, model.drift.A[:2 * m, :2 * m], label="H0")
     return window, ControlModel(drift=drift, controls=_controls(window))
 
@@ -215,69 +211,35 @@ def _squeeze_anti_form(n: int, j: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class IdentityRecord:
-    """One verified bracket identity: the two sides and their distance.
+    """One bracket identity checked over F_p: its two sides and whether they agree.
 
     The sides are 6 x 6 generators on the chain's 3-site window, whatever
-    the chain's length.
+    the chain's length, as centred residues mod the report's prime.
     """
 
     name: str
     description: str
     lhs: np.ndarray
     rhs: np.ndarray
-    residual: float
+    holds: bool
 
 
 @dataclass(frozen=True, eq=False)
 class IdentityReport:
     records: tuple[IdentityRecord, ...]
-    tol: float
+    prime: int
     all_pass: bool
-    max_residual: float
 
 
-class _Field(NamedTuple):
-    """The arithmetic the identity table is evaluated in.
-
-    ``element`` maps a float generator into the field, ``scalar`` a chain
-    parameter; ``bracket`` is the commutator and ``divide(X, d)`` is X / d.
-    """
-
-    element: Callable[[np.ndarray], np.ndarray]
-    scalar: Callable[[float], float]
-    bracket: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    divide: Callable[[np.ndarray, float], np.ndarray]
+def _bracket(X: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
+    """[X, Y] mod p. The operands are reduced first, so every product is an exact integer."""
+    X, Y = (_reduce(np.array(Z, dtype=float), p) for Z in (X, Y))
+    return _reduce(X @ Y - Y @ X, p)
 
 
-_REALS = _Field(element=lambda G: G, scalar=float, bracket=commutator, divide=operator.truediv)
-
-
-def _residues(p: int) -> _Field:
-    """F_p in the closure's arithmetic: centred residues held in float64.
-
-    Every input float is a dyadic rational, so its residue is exact. The
-    operands of a bracket or a division are reduced first, so every product
-    is an exact integer below 2^53, and so is every linear combination the
-    table forms of reduced elements with residue weights. Dividing by a
-    multiple of p raises ValueError.
-    """
-
-    def reduced(X: np.ndarray) -> np.ndarray:
-        return _reduce(np.array(X, dtype=float), p)
-
-    def bracket(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        X, Y = reduced(X), reduced(Y)
-        return _reduce(X @ Y - Y @ X, p)
-
-    def divide(X: np.ndarray, d: float) -> np.ndarray:
-        return _reduce(reduced(X) * pow(int(d) % p, -1, p), p)
-
-    return _Field(
-        element=lambda G: _to_field(G, p),
-        scalar=lambda v: _residue(v, p),
-        bracket=bracket,
-        divide=divide,
-    )
+def _divide(X: np.ndarray, d: int, p: int) -> np.ndarray:
+    """X / d mod p for an integer d; a multiple of p raises ValueError."""
+    return _reduce(_reduce(np.array(X, dtype=float), p) * pow(d % p, -1, p), p)
 
 
 class _Units(NamedTuple):
@@ -300,8 +262,8 @@ def _unit_generators(n: int) -> _Units:
     """The unit generators on the n-site window, built once per window size.
 
     They are read-only, and their entries are 0, +-1 and +-2: they are their
-    own centred residues mod any prime of the closure, so they serve every
-    field as they are.
+    own centred residues mod any prime of the closure, so the identity table
+    uses them as they are.
     """
 
     def term(t: ham.HamiltonianTerm) -> np.ndarray:
@@ -325,16 +287,18 @@ def _unit_generators(n: int) -> _Units:
 
 
 def _identity_table(
-    spec: ChainSpec, model: ControlModel, field: _Field,
-) -> list[tuple[str, str, Callable[[float], np.ndarray], np.ndarray]]:
-    """The identity suite as data: (name, description, lhs builder, rhs).
+    spec: ChainSpec, model: ControlModel, p: int,
+) -> list[tuple[str, str, Callable[[int], np.ndarray], np.ndarray]]:
+    """The identity suite as data, over F_p: (name, description, lhs builder, rhs).
 
     ``model`` is the chain of ``spec``, of 3 sites, or of 2 sites without
     long-distance-13, the one identity that needs site 3. Every identity
-    touches sites 1-3 only. Each identity is evaluated in ``field``: over
-    the reals for the report, over F_p for the chain's induction certificate.
+    touches sites 1-3 only. Every input float is a dyadic rational, so its
+    residue mod p is exact; each bracket and division reduces its operands
+    first, so every product is an exact integer below 2^53, and so is every
+    linear combination the table forms of residues with residue weights.
 
-    Each lhs builder takes a scale factor applied to the identity's one
+    Each lhs builder takes an integer scale factor applied to the identity's one
     mutable coefficient, so the test harness can prove non-vacuity by
     perturbing coefficients individually. Operands are always the seeds and
     the unit-coefficient generators of ``_unit_generators``, never the
@@ -351,16 +315,16 @@ def _identity_table(
     bracket order [iH1, .], and the site-2 squeeze closes with a factor 1/2.
     """
     n = spec.n
-    w, w1, x, g = (field.scalar(v) for v in (spec.omega, spec.omega1, spec.chi, spec.g1))
-    br, div = field.bracket, field.divide
+    w, w1, x, g = (_residue(v, p) for v in (spec.omega, spec.omega1, spec.chi, spec.g1))
+    br, div = functools.partial(_bracket, p=p), functools.partial(_divide, p=p)
 
-    h0, h1, h2 = (field.element(ham.generator(H)) for H in (model.drift, *model.controls))
+    h0, h1, h2 = (_to_field(ham.generator(H), p) for H in (model.drift, *model.controls))
     (sq_anti_1, sq_anti_2, sq_sym_2, ex_anti_12, ex_sym_12, pr_anti_12, pr_sym_12, num_2,
      ex_sym_23, ex_sym_13) = _unit_generators(n)
     mix_12 = ex_anti_12 + pr_anti_12
     mix_sym_12 = ex_sym_12 + pr_sym_12
 
-    table: list[tuple[str, str, Callable[[float], np.ndarray], np.ndarray]] = []
+    table: list[tuple[str, str, Callable[[int], np.ndarray], np.ndarray]] = []
 
     def add(name, description, lhs, rhs):
         table.append((name, description, lhs, rhs))
@@ -485,46 +449,59 @@ def identity_suite_unmet(spec: ChainSpec) -> list[str]:
 
     The suite needs n >= 3 (the long-distance identity spans three sites),
     g1 == g2 (the uniform q-q coupling case the identity chain covers), and
-    nonzero g1, omega1 and chi so the normalisations exist. An empty list
-    means the suite applies.
+    omega, g1, omega1 and chi nonzero mod p = ``PRIMES[0]``, the field the
+    suite is checked in, so the normalisations exist. An empty list means
+    the suite applies.
     """
     unmet = []
     if spec.n < 3:
         unmet.append(f"n >= 3 (long-distance bracket spans three sites), got n = {spec.n}")
     if spec.g1 != spec.g2:
         unmet.append(f"the uniform coupling case g1 == g2, got g1 = {spec.g1:g}, g2 = {spec.g2:g}")
-    for name in ("g1", "omega1", "chi"):
-        if getattr(spec, name) == 0.0:
-            unmet.append(f"nonzero {name} for its normalisations")
+    p = PRIMES[0]
+    for name in ("omega", "g1", "omega1", "chi"):
+        if not _residue(getattr(spec, name), p):
+            unmet.append(f"nonzero {name} mod p = {p} for its normalisations")
     return unmet
+
+
+def _records(
+    spec: ChainSpec, model: ControlModel, m: int, p: int, mutate: Mapping[str, int],
+) -> tuple[IdentityRecord, ...]:
+    """The identity table on the m-site window of ``model``, checked mod p."""
+    records = []
+    for name, description, lhs_builder, rhs in _identity_table(*_window(spec, model, m), p):
+        lhs = _reduce(lhs_builder(mutate.get(name, 1)), p)
+        holds = not _reduce(lhs - rhs, p).any()
+        records.append(IdentityRecord(name, description, lhs, rhs, holds))
+    return tuple(records)
 
 
 def verify_bracket_identities(
     spec: ChainSpec,
-    tol: float = 1e-12,
     mutate: Optional[Mapping[str, float]] = None,
     model: Optional[ControlModel] = None,
 ) -> IdentityReport:
-    """Machine-check the bracket-identity chain behind local controllability.
+    """Machine-check the bracket-identity chain behind local controllability, exactly.
 
     Every identity touches sites 1-3 only, so the suite runs on the chain's
     3-site window at the spec's (omega, g, omega1, chi), and each record's
-    ``lhs`` and ``rhs`` are 6 x 6 generators whatever ``spec.n``. ``model``
-    is the chain of ``spec`` when the caller has built it already; the
-    window is read from it. Otherwise the 3-site chain is built.
+    ``lhs`` and ``rhs`` are 6 x 6 generators whatever ``spec.n``. The check
+    is over F_p, p = ``PRIMES[0]``: an identity holds when its two sides
+    agree mod p, with no tolerance. ``model`` is the chain of ``spec`` when
+    the caller has built it already; the window is read from it. Otherwise
+    the 3-site chain is built.
 
     Raises ``ValueError`` naming every precondition of
     :func:`identity_suite_unmet` that ``spec`` fails.
 
-    ``mutate`` maps identity names to multiplicative factors on that
-    identity's designated coefficient; it exists so tests can prove the
-    harness is not vacuous.
+    ``mutate`` maps identity names to finite multiplicative factors on that
+    identity's designated coefficient, each entering as its residue mod p;
+    it exists so tests can prove the harness is not vacuous.
     """
     unmet = identity_suite_unmet(spec)
     if unmet:
         raise ValueError(f"identity suite needs {'; '.join(unmet)}")
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if model is None:
         model = build_chain(replace(spec, n=3))
     elif model.n != spec.n:
@@ -534,26 +511,12 @@ def verify_bracket_identities(
     unknown = set(mutate) - set(IDENTITY_NAMES)
     if unknown:
         raise ValueError(f"unknown identity names in mutate: {sorted(unknown)}")
+    if not all(np.isfinite(v) for v in mutate.values()):
+        raise ValueError(f"mutate factors must be finite, got {mutate}")
 
-    records = []
-    for name, description, lhs_builder, rhs in _identity_table(*_window(spec, model, 3), _REALS):
-        lhs = lhs_builder(mutate.get(name, 1.0))
-        records.append(
-            IdentityRecord(
-                name=name,
-                description=description,
-                lhs=lhs,
-                rhs=rhs,
-                residual=float(np.linalg.norm(lhs - rhs)),
-            )
-        )
-    max_residual = max(r.residual for r in records)
-    return IdentityReport(
-        records=tuple(records),
-        tol=tol,
-        all_pass=bool(max_residual <= tol),
-        max_residual=max_residual,
-    )
+    p = PRIMES[0]
+    records = _records(spec, model, 3, p, {k: _residue(float(v), p) for k, v in mutate.items()})
+    return IdentityReport(records=records, prime=p, all_pass=all(r.holds for r in records))
 
 
 @dataclass(frozen=True)
@@ -597,20 +560,30 @@ def _gluing_lemma() -> LieSubspace:
     return closure(seeds)
 
 
-def _chain_induction(spec: ChainSpec, model: ControlModel) -> Optional[ChainInduction]:
+def _chain_induction(
+    spec: ChainSpec, model: ControlModel, identities: Optional[IdentityReport],
+) -> Optional[ChainInduction]:
     """Prove full rank from fixed-size exact checks over F_p, or return None.
 
-    p = ``PRIMES[0]``, and ``model`` is the chain of ``spec`` with both
-    controls. Let L be the Lie algebra the residues of {iH0, iH1, iH2}
-    generate over F_p. Where ``identity_suite_unmet(spec)`` is empty and
-    omega, g, omega1 and chi are all nonzero mod p, three checks prove by
-    induction on k that L contains sp(2k) on sites 1..k:
+    p = ``PRIMES[0]``, ``model`` is the chain of ``spec`` with both controls,
+    and ``identities`` is its 3-site suite (:func:`verify_bracket_identities`),
+    or None where ``identity_suite_unmet(spec)`` is not empty. Let L be the
+    Lie algebra the residues of {iH0, iH1, iH2} generate over F_p. Three
+    checks prove by induction on k that L contains sp(2k) on sites 1..k:
 
     (a) the identity suite holds mod p on the 3-site window chain at
         (omega, g, omega1 = chi = 1);
     (b) the suite without long-distance-13 holds mod p on the 2-site window;
     (c) the gluing lemma: sp(4) on sites {1, 2}, sp(2) on site 3 and
         hop(2, 3) close to sp(6).
+
+    Checks (a) and (b) are read at the spec's own (omega1, chi), which gives
+    the same residues. The preconditions make the residues r(omega1) and
+    r(chi) nonzero; the residue of iH1 is exactly r(omega1) N_1 and that of
+    iH2 exactly r(chi) S_1, since N_1 and S_1 have entries 0, +-1 and +-2.
+    Every identity is linear in iH1, or in iH1 and iH2 together, and divides
+    the matching scalar out again, so each lhs residue is the one at
+    omega1 = chi = 1.
 
     Base: N_1 = H1 / omega1 and S_1 = H2 / chi are in L, and with
     squeeze-anti-1 they span sp(2) on site 1.
@@ -636,17 +609,11 @@ def _chain_induction(spec: ChainSpec, model: ControlModel) -> Optional[ChainIndu
     that fails returns None, so the caller's closure decides: the
     certificate can skip work, never change a verdict.
     """
-    if identity_suite_unmet(spec):
+    if identities is None or not identities.all_pass:
         return None
-    p = PRIMES[0]
-    if not all(_residue(v, p) for v in (spec.omega, spec.g1, spec.omega1, spec.chi)):
+    p = identities.prime
+    if not all(r.holds for r in _records(spec, model, 2, p, {})):
         return None
-    field = _residues(p)
-    for m in (3, 2):
-        window = _window(spec, model, m, omega1=1.0, chi=1.0)
-        for _, _, lhs, rhs in _identity_table(*window, field):
-            if _reduce(lhs(1) - rhs, p).any():
-                return None
     lemma = _gluing_lemma()
     if not (lemma.prime == p and lemma.full_rank):
         return None
@@ -665,6 +632,9 @@ class ControllabilityReport:
     ``rank`` is the one source of the closure's dimension and of how it was
     decided: a ``ChainInduction`` where the paper's induction applies, else
     the ``LieSubspace`` of the closure. ``model`` is the chain analysed.
+    ``identities`` is its 3-site bracket-identity suite, checked once over
+    F_p, where the suite applies and the squeeze control is included; else
+    None. The induction certificate reads the same report.
 
     CONTROLLABLE: rank criterion met (``rank.full_rank``) and the
     generating triple validated positive definite (``triple_message`` is
@@ -681,6 +651,7 @@ class ControllabilityReport:
     triple_params: TripleParams
     model: ControlModel
     rank: Union[ChainInduction, LieSubspace]
+    identities: Optional[IdentityReport]
     positivity: PositivityCheck
     triple_message: Optional[str]
     verdict: str
@@ -706,7 +677,10 @@ def controllability_report(
     """
     _require_exact_size(spec.n)
     model = build_chain(spec)
-    rank = _chain_induction(spec, model) if include_squeeze_control else None
+    identities = None
+    if include_squeeze_control and not identity_suite_unmet(spec):
+        identities = verify_bracket_identities(spec, model=model)
+    rank = _chain_induction(spec, model, identities)
     if rank is None:
         controls = model.controls if include_squeeze_control else model.controls[:1]
         rank = closure([model.drift, *controls])
@@ -735,6 +709,7 @@ def controllability_report(
         triple_params=params,
         model=model,
         rank=rank,
+        identities=identities,
         positivity=positivity,
         triple_message=triple_message,
         verdict=verdict,

@@ -22,7 +22,6 @@ import numpy as np
 from . import __version__
 from .chain import (
     VERDICT_CONTROLLABLE, ChainSpec, TripleParams, controllability_report, identity_suite_unmet,
-    verify_bracket_identities,
 )
 from .closure import LieSubspace, closure, full_dimension
 from .documents import (
@@ -224,7 +223,7 @@ def cmd_chain(args, report: dict) -> int:
         "alpha": params.alpha, "beta": params.beta, "delta": params.delta,
         "h1_only": bool(args.h1_only),
     }
-    results = _header(report, "chain", data_digest(echo), {"identity_tol": args.identity_tol}, echo)
+    results = _header(report, "chain", data_digest(echo), {}, echo)
     rep = controllability_report(spec, params, include_squeeze_control=not args.h1_only)
     rank = rep.rank
     triple_ok = rep.triple_message is None
@@ -247,17 +246,14 @@ def cmd_chain(args, report: dict) -> int:
             "diagnostics": _closure_diagnostics(rank),
         }
     )
-    identities_ok = True
-    if not unmet and args.identities != "skip":
-        id_report = verify_bracket_identities(spec, tol=args.identity_tol, model=rep.model)
-        identities_ok = id_report.all_pass
+    identities = rep.identities if args.identities != "skip" else None
+    if identities is not None:
         results["identities"] = {
-            "all_pass": id_report.all_pass,
-            "max_residual": id_report.max_residual,
-            "records": [
-                {"name": r.name, "residual": r.residual} for r in id_report.records
-            ],
+            "all_pass": identities.all_pass,
+            "prime": identities.prime,
+            "records": [{"name": r.name, "holds": r.holds} for r in identities.records],
         }
+    identities_ok = identities is None or identities.all_pass
     return 0 if rep.verdict == VERDICT_CONTROLLABLE and identities_ok else 1
 
 
@@ -328,8 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument("--identity-tol", default=1e-12,
-                   type=_checked(float, lambda v: 0 < v < np.inf, "positive and finite"))
     p.add_argument(
         "--identities", choices=("auto", "require", "skip"), default="auto",
         help="bracket-identity suite: run when applicable, insist, or skip",

@@ -187,9 +187,12 @@ def evolve_covariance(state: CovarianceState, S, tol: float = 1e-8) -> Covarianc
     S must be symplectic to ``tol`` relative to ``max(1, ||S||_F^2)``, the
     scale of the rounding in S Omega S^T; the transport then preserves the
     symplectic eigenvalues of sigma (purity and temperature invariants).
-    A shape mismatch raises ``ValueError``; an S that fails the audit raises
+    A tol that is NaN, negative or infinite, or a shape mismatch, raises
+    ``ValueError`` before any work; an S that fails the audit raises
     ``AnalysisError``, a failed numerical check rather than a bad input.
     """
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     S = np.asarray(S, dtype=float)
     if S.shape != state.sigma.shape:
         raise ValueError(f"shape mismatch: sigma {state.sigma.shape}, S {S.shape}")

@@ -122,6 +122,8 @@ class RecurrenceQuery:
             raise ValueError(f"min_time must be nonnegative and finite, got {self.min_time}")
         if self.max_time is not None and not self.max_time > self.min_time:
             raise ValueError(f"max_time {self.max_time} must exceed min_time {self.min_time}")
+        if self.max_time is not None and not np.isfinite(self.max_time):
+            raise ValueError(f"max_time must be finite, got {self.max_time}")
         if self.grid_points_per_period < 8:
             raise ValueError(
                 f"grid_points_per_period must be at least 8, got {self.grid_points_per_period}"
@@ -204,10 +206,14 @@ def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
     distance at t* confirms it, and the first confirmed t* is returned as
     tau with mode_distance_at_tau = d*. When no candidate passed the bound,
     the refined best grid minimum gets one true-distance evaluation, and a
-    distance below epsilon there is returned as found too. Otherwise the
-    result is negative, and best_distance_seen is the smallest true distance
-    evaluated. A scan that reaches GRID_POINT_BUDGET points stops there with
-    budget_exhausted set; the fallback evaluation still runs on what it saw.
+    distance below epsilon there is returned as found too; a grid with no
+    interior minimum offers the lower of its two ends, and a horizon shorter
+    than one grid step is scanned with one step that ends on it. Refines
+    stay inside [min_time, max_time], so tau never passes the horizon.
+    Otherwise the result is negative, and best_distance_seen is the smallest
+    true distance evaluated. A scan that reaches GRID_POINT_BUDGET points
+    stops there with budget_exhausted set; the fallback evaluation still
+    runs on what it saw.
     """
     H = query.hamiltonian
     dec = williamson_decompose(H)  # raises DefinitenessError when A is not > 0
@@ -219,6 +225,7 @@ def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
     t_end = query.max_time
     if t_end is None:
         t_end = query.min_time + DEFAULT_HORIZON_PERIODS * (2.0 * math.pi / float(nu[0]))
+    h = min(h, t_end - query.min_time)  # a horizon shorter than one step still scans its end
     threshold = query.epsilon / K
 
     nu_modes = tuple(float(v) for v in nu)
@@ -249,7 +256,8 @@ def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
         )
 
     def refine(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _refine(nu_modes, np.maximum(centers - h, query.min_time), centers + h)
+        lo, hi = np.maximum(centers - h, query.min_time), np.minimum(centers + h, t_end)
+        return _refine(nu_modes, lo, hi)
 
     def consider(centers: np.ndarray) -> Optional[RecurrenceResult]:
         """Refine the grid minima at ``centers`` and confirm them in grid order.
@@ -301,6 +309,13 @@ def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
                 if hit is not None:
                     return hit
             j = j_hi + 1
+
+    if best_grid is None and n_points > 2:
+        # no interior grid minimum: the lowest grid point is an end of the scan
+        ends = query.min_time + np.array([0, n_points]) * h
+        d = _mode_distance(nu_modes, ends)
+        k_best = int(np.argmin(d))
+        best_grid = (float(ends[k_best]), float(d[k_best]))
 
     if not math.isfinite(best_true) and best_grid is not None:
         # report an honest true distance at the best bound seen; the bound

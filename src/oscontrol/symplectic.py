@@ -54,8 +54,8 @@ def audit_symplecticity(S) -> float:
 
 def is_symplectic(S, tol: float = 1e-12) -> bool:
     """True iff ``||S Omega S^T - Omega||_F <= tol``."""
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     return audit_symplecticity(S) <= tol
 
 

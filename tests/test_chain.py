@@ -184,11 +184,10 @@ def test_positive_triple_closure_matches_raw_controls():
 def test_identities_all_pass_at_canonical_point():
     report = verify_bracket_identities(CANONICAL)
     assert report.all_pass
-    assert report.max_residual <= 1e-12
+    assert report.prime == PRIMES[0]
     assert len(report.records) == 12
-    first = report.records[0]
-    assert first.name == "squeeze-anti-1"
-    assert first.residual <= 1e-12
+    assert all(record.holds is True for record in report.records)
+    assert report.records[0].name == "squeeze-anti-1"
 
 
 def test_identities_hold_across_parameter_grid():
@@ -197,14 +196,14 @@ def test_identities_hold_across_parameter_grid():
             for chi in (0.5, 1.0, 2.0):
                 spec = ChainSpec(n=3, omega=1.0, g1=g, g2=g, omega1=omega1, chi=chi)
                 report = verify_bracket_identities(spec)
-                assert report.all_pass, (g, omega1, chi, report.max_residual)
+                assert report.all_pass, (g, omega1, chi)
 
 
 def test_identities_mutation_is_detected():
     for name in IDENTITY_NAMES:
         report = verify_bracket_identities(CANONICAL, mutate={name: 1.01})
         record = next(r for r in report.records if r.name == name)
-        assert record.residual > 1e-4, name
+        assert record.holds is False, name
         assert not report.all_pass
 
 
@@ -224,14 +223,36 @@ def test_identities_reject_short_chain_and_uneven_couplings():
     assert identity_suite_unmet(CANONICAL) == []
     with pytest.raises(ValueError, match="unknown identity"):
         verify_bracket_identities(CANONICAL, mutate={"no-such-identity": 1.01})
+    for factor in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="mutate factors must be finite"):
+            verify_bracket_identities(CANONICAL, mutate={"number-2": factor})
 
 
 def test_identities_record_matrices_are_consistent():
-    report = verify_bracket_identities(CANONICAL)
+    # both sides are centred residues mod p, which are unique since p is odd
+    report = verify_bracket_identities(CANONICAL, mutate={"number-2": 1.01})
     for record in report.records:
-        assert record.residual == pytest.approx(
-            float(np.linalg.norm(record.lhs - record.rhs)), abs=0.0
-        )
+        for side in (record.lhs, record.rhs):
+            assert side.shape == (6, 6)
+            assert np.array_equal(side, np.rint(side))
+            assert np.abs(side).max() <= PRIMES[0] // 2
+        assert record.holds is np.array_equal(record.lhs, record.rhs)
+    assert [r.name for r in report.records if not r.holds] == ["number-2"]
+
+
+@pytest.mark.parametrize("g", [0.1, 0.2, 0.4])
+def test_identity_residues_do_not_depend_on_the_controls(g):
+    # the residue of iH1 is r(omega1) N_1, that of iH2 is r(chi) S_1, and the
+    # table divides those scalars out again: the suite at the spec's
+    # (omega1, chi) is the induction's check at omega1 = chi = 1
+    unit = verify_bracket_identities(ChainSpec(n=3, g1=g, g2=g))
+    for omega1 in (-0.5, 0.5, 1.0, 2.0):
+        for chi in (-0.5, 0.5, 1.0, 2.0):
+            spec = ChainSpec(n=3, g1=g, g2=g, omega1=omega1, chi=chi)
+            report = verify_bracket_identities(spec)
+            for a, b in zip(report.records, unit.records):
+                assert a.name == b.name
+                assert np.array_equal(a.lhs, b.lhs), (omega1, chi, a.name)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -314,7 +335,7 @@ INDUCTION_GRID = [
 @pytest.mark.parametrize("spec", INDUCTION_GRID, ids=lambda s: f"n{s.n}-g{s.g1}-w{s.omega}")
 def test_induction_certificate_agrees_with_the_closure(spec):
     model = build_chain(spec)
-    certificate = chain._chain_induction(spec, model)
+    certificate = chain._chain_induction(spec, model, verify_bracket_identities(spec, model=model))
     assert certificate == ChainInduction(n=spec.n, prime=PRIMES[0])
     sub = closure([model.drift, *model.controls])
     assert sub.full_rank and sub.dimension == certificate.dimension == full_dimension(spec.n)
@@ -330,15 +351,16 @@ def test_induction_certificate_agrees_with_the_closure(spec):
         (ChainSpec(n=4, g1=0.2, g2=0.2), False),
         (ChainSpec(n=2, g1=0.2, g2=0.2), True),
         (ChainSpec(n=4, g1=0.2, g2=0.2, omega1=1048573.0), True),  # omega1 = 0 mod p
+        (ChainSpec(n=4, omega=1048573.0, g1=0.2, g2=0.2), True),  # omega = 0 mod p
     ],
-    ids=["uneven-couplings", "h1-only", "n2", "omega1-vanishes-mod-p"],
+    ids=["uneven-couplings", "h1-only", "n2", "omega1-vanishes-mod-p", "omega-vanishes-mod-p"],
 )
 def test_the_closure_decides_where_the_induction_does_not_apply(spec, squeeze):
     rep = controllability_report(spec, include_squeeze_control=squeeze)
     assert isinstance(rep.rank, LieSubspace)
     assert rep.rank.certificate == "exact_mod_p"
-    if squeeze:
-        assert chain._chain_induction(spec, rep.model) is None
+    assert rep.identities is None
+    assert chain._chain_induction(spec, rep.model, rep.identities) is None
 
 
 @pytest.mark.parametrize(
@@ -350,8 +372,8 @@ def test_a_broken_identity_makes_the_induction_refuse(monkeypatch, name, window)
     # no long-distance identity
     table = chain._identity_table
 
-    def broken(spec, model, field):
-        rows = table(spec, model, field)
+    def broken(spec, model, p):
+        rows = table(spec, model, p)
         if spec.n != window:
             return rows
         return [(k, d, (lambda s, f=lhs: 2 * f(s)) if k == name else lhs, rhs)
@@ -359,21 +381,22 @@ def test_a_broken_identity_makes_the_induction_refuse(monkeypatch, name, window)
 
     monkeypatch.setattr(chain, "_identity_table", broken)
     spec = ChainSpec(n=4, g1=0.2, g2=0.2)
-    assert chain._chain_induction(spec, build_chain(spec)) is None
     rep = controllability_report(spec)
+    assert rep.identities.all_pass is (window == 2)
+    assert chain._chain_induction(spec, rep.model, rep.identities) is None
     assert rep.rank.certificate == "exact_mod_p"
     assert rep.verdict == "CONTROLLABLE"
 
 
 def test_unit_generators_are_built_once_and_shared(monkeypatch):
     # the suite's parameter-free generators do not depend on the chain's
-    # parameters: two reports read the same read-only arrays, mod p and over
-    # the reals, and each array is its own centred residue
+    # parameters: two reports read the same read-only arrays in both
+    # windows, and each array is its own centred residue
     table = chain._identity_table
     rows = []
 
-    def spy(spec, model, field):
-        out = table(spec, model, field)
+    def spy(spec, model, p):
+        out = table(spec, model, p)
         rows.append({name: rhs for name, _, _, rhs in out})
         return out
 
@@ -382,8 +405,7 @@ def test_unit_generators_are_built_once_and_shared(monkeypatch):
                  ChainSpec(n=4, g1=0.1, g2=0.1, omega1=0.5, chi=2.0)):
         rep = controllability_report(spec)
         assert rep.rank.certificate == "chain_induction"
-        verify_bracket_identities(spec, 1e-9, model=rep.model)
-    assert [len(r) for r in rows] == [12, 11, 12, 12, 11, 12]
+    assert [len(r) for r in rows] == [12, 11, 12, 11]
     units = chain._unit_generators(3)
     for name, unit in (("squeeze-anti-1", units.sq_anti_1), ("pair-sym-12", units.pr_sym_12),
                        ("exchange-sym-12", units.ex_sym_12), ("long-distance-13", units.ex_sym_13)):
@@ -406,7 +428,8 @@ def test_gluing_lemma_closes_to_sp6(monkeypatch):
     short = closure([build_chain(ChainSpec(n=3)).drift])
     monkeypatch.setattr(chain, "_gluing_lemma", lambda: short)
     spec = ChainSpec(n=5, g1=0.1, g2=0.1)
-    assert chain._chain_induction(spec, build_chain(spec)) is None
+    model = build_chain(spec)
+    assert chain._chain_induction(spec, model, verify_bracket_identities(spec, model=model)) is None
     assert controllability_report(spec).rank.certificate == "exact_mod_p"
 
 
@@ -437,7 +460,7 @@ def test_identity_records_read_the_three_site_window():
     assert from_model.all_pass
     for a, b in zip(from_model.records, built.records):
         assert a.lhs.shape == a.rhs.shape == (6, 6)
-        assert np.array_equal(a.lhs, b.lhs) and a.residual == b.residual
+        assert np.array_equal(a.lhs, b.lhs) and a.holds is b.holds is True
     with pytest.raises(ValueError, match="model has 3 sites"):
         verify_bracket_identities(spec, model=build_chain(ChainSpec(n=3, g1=0.15, g2=0.15)))
 

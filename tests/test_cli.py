@@ -255,6 +255,28 @@ def test_recur_beyond_the_grid_budget_is_an_honest_negative(capsys):
     assert results["tau"] is None
 
 
+def test_recur_horizon_shorter_than_one_grid_step_still_reports(capsys):
+    # the grid step here is 2 pi / 16 > 0.1: the scan once saw no point and
+    # the report failed on best_distance_seen = inf, exit 2
+    code, out, err = run_cli(
+        capsys, "recur", "--model", str(MODELS / "single_mode.json"),
+        "--epsilon", "0.1", "--after", "1", "--t-max", "1.1",
+    )
+    assert (code, err) == (0, "")
+    results = report_of(out)["results"]
+    assert results["found"] is False
+    assert math.isfinite(results["best_distance_seen"])
+
+
+def test_recur_infinite_horizon_is_a_query_error(capsys):
+    code, out, err = run_cli(
+        capsys, "recur", "--model", str(MODELS / "single_mode.json"),
+        "--epsilon", "0.1", "--t-max", "inf",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: recurrence query: max_time must be finite, got inf\n"
+
+
 def test_recur_within_the_budget_reports_it_unspent(capsys):
     code, out, _ = run_cli(
         capsys, "recur", "--model", str(MODELS / "incommensurate_pair.json"),
@@ -433,9 +455,11 @@ def test_chain_canonical_fixture(capsys):
     assert code == 0
     assert report["results"]["verdict"] == "CONTROLLABLE"
     assert report["results"]["dimension"] == 21
-    assert report["results"]["identities"]["all_pass"] is True
-    assert report["results"]["identities"]["max_residual"] <= 1e-12
-    assert len(report["results"]["identities"]["records"]) == 12
+    identities = report["results"]["identities"]
+    assert identities["all_pass"] is True
+    assert identities["prime"] == 1048573
+    assert len(identities["records"]) == 12
+    assert all(record["holds"] is True for record in identities["records"])
 
 
 def test_chain_h1_only_not_established(capsys):
@@ -509,17 +533,12 @@ def test_chain_invalid_flags_exit_two(capsys):
          "argument --tol: must be finite and >= 0, got -1"),
         (("williamson", "--model", "chain_n3.json", "--tol", "nan"),
          "argument --tol: must be finite and >= 0, got nan"),
-        (("chain", "--n", "3", "--identity-tol", "nan"),
-         "argument --identity-tol: must be positive and finite, got nan"),
-        # the suite does not run at g1 != g2; the flag is still checked
-        (("chain", "--n", "3", "--g2", "0.1", "--identity-tol", "-1"),
-         "argument --identity-tol: must be positive and finite, got -1"),
         (("rank", "--model", "chain_n3.json", "--max-rounds", "-1"),
          "argument --max-rounds: must be >= 0, got -1"),
         (("chain", "--n", "3", "--alpha", "nan"), "error: alpha must be finite, got nan"),
     ],
-    ids=["williamson-tol-negative", "williamson-tol-nan", "chain-identity-tol-nan",
-         "chain-identity-tol-negative-unused", "rank-max-rounds-negative", "chain-alpha-nan"],
+    ids=["williamson-tol-negative", "williamson-tol-nan", "rank-max-rounds-negative",
+         "chain-alpha-nan"],
 )
 def test_bad_numeric_flags_exit_two_before_analysis(capsys, monkeypatch, argv, message):
     # each of these once ran the analysis: exit 1 as a numerical failure,
@@ -617,7 +636,7 @@ def test_closure_certificate_in_chain_and_rank_reports(capsys):
         }
         assert 21 < certificate["candidates"] <= 3 + 3 * 21
         assert "residual_spectrum" not in report["results"]
-    assert chain_report["tolerances"] == {"identity_tol": 1e-12}
+    assert chain_report["tolerances"] == {}
     assert rank_report["tolerances"] == {"max_rounds": 42}
 
 
@@ -650,12 +669,52 @@ def test_chain_beyond_the_closure_limit_exits_two_without_a_report(capsys):
     assert (out, err) == ("", "error: exact closure is limited to n <= 127, got n = 128\n")
 
 
-@pytest.mark.parametrize("command", ["rank", "chain"])
-def test_tol_flag_is_gone_from_rank_and_chain(capsys, command):
+@pytest.mark.parametrize(
+    "command,flag",
+    [("rank", "--tol"), ("chain", "--tol"), ("chain", "--identity-tol")],
+    ids=["rank", "chain", "chain-identity-tol"],
+)
+def test_tol_flag_is_gone_from_rank_and_chain(capsys, command, flag):
+    # the identities are checked exactly over F_p, so no tolerance is left
     target = ["--model", str(MODELS / "chain_n3.json")] if command == "rank" else ["--n", "3"]
-    code, _, err = run_cli(capsys, command, *target, "--tol", "1e-9")
-    assert code == 2
-    assert "--tol" in err
+    code, out, err = run_cli(capsys, command, *target, flag, "1e-12")
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {flag} 1e-12" in err
+
+
+@pytest.mark.parametrize("flags", [(), ("--identities", "skip")])
+def test_one_chain_call_evaluates_each_identity_window_once(capsys, monkeypatch, flags):
+    # the report's identities are the induction's check on the 3-site
+    # window; only the 2-site window is evaluated besides
+    import oscontrol.chain
+
+    table, rows = oscontrol.chain._identity_table, []
+
+    def spy(spec, model, p):
+        out = table(spec, model, p)
+        rows.append(len(out))
+        return out
+
+    monkeypatch.setattr(oscontrol.chain, "_identity_table", spy)
+    code, out, _ = run_cli(capsys, "chain", "--n", "5", *flags)
+    assert code == 0
+    assert rows == [12, 11]
+    assert ("identities" in report_of(out)["results"]) is not flags
+
+
+def test_chain_parameter_vanishing_mod_p_leaves_the_suite_unmet(capsys):
+    # omega1 = p is zero mod p: the suite cannot normalise by it, so the
+    # report has no identities section and the closure decides the rank
+    argv = ("chain", "--n", "4", "--g1", "0.2", "--g2", "0.2", "--omega1", "1048573")
+    code, out, _ = run_cli(capsys, *argv)
+    res = report_of(out)["results"]
+    assert code == 0
+    assert "identities" not in res
+    assert (res["verdict"], res["dimension"]) == ("CONTROLLABLE", 36)
+    assert res["diagnostics"]["closure"]["certificate"] == "exact_mod_p"
+    code, out, err = run_cli(capsys, *argv, "--identities", "require")
+    assert (code, out) == (2, "")
+    assert "nonzero omega1 mod p = 1048573" in err
 
 
 @pytest.mark.parametrize("g", ["0.05", "0.1", "0.15", "0.2"])

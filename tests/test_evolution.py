@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from oscontrol import (
+    AnalysisError,
     ChainSpec,
     ControlModel,
     ControlSchedule,
@@ -180,6 +181,14 @@ def test_squeezing_action_on_vacuum():
 def test_evolve_covariance_rejects_non_symplectic():
     with pytest.raises(ValueError):
         evolve_covariance(CovarianceState.vacuum(1), np.diag([2.0, 2.0]))
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+def test_evolve_covariance_rejects_a_tolerance_that_is_nan_negative_or_infinite(tol):
+    # a nan tolerance once passed S = 10 I (sigma = 50 I); -1 failed as an audit
+    with pytest.raises(ValueError, match="tol must be finite and >= 0") as info:
+        evolve_covariance(CovarianceState.vacuum(1), 10.0 * np.eye(2), tol=tol)
+    assert not isinstance(info.value, AnalysisError)
 
 
 def test_evolve_covariance_audit_scales_with_norm():

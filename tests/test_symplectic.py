@@ -70,6 +70,13 @@ def test_is_symplectic_shape_and_tol_errors():
         is_symplectic(np.eye(2), tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+def test_is_symplectic_rejects_a_tolerance_that_is_nan_negative_or_infinite(tol):
+    # a nan tolerance once answered False for the identity itself
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        is_symplectic(np.eye(2), tol)
+
+
 def test_commutator_with_itself_vanishes():
     X = np.arange(9.0).reshape(3, 3)
     assert np.array_equal(commutator(X, X), np.zeros((3, 3)))
