@@ -153,6 +153,11 @@ class RecurrenceResult:
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _bracket_tol(lo: np.ndarray, hi: np.ndarray, xatol: float = 1e-12) -> np.ndarray:
+    """The width at which _refine stops on [lo, hi]: xatol, floored at a few ulps."""
+    return np.maximum(xatol, 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
+
+
 def _refine(
     nu: tuple[float, ...], lo: np.ndarray, hi: np.ndarray, xatol: float = 1e-12,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -170,7 +175,7 @@ def _refine(
     their mode distances.
     """
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    tol = np.maximum(xatol, 4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
+    tol = _bracket_tol(a, b, xatol)
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = _mode_distance(nu, c), _mode_distance(nu, d)
@@ -207,9 +212,12 @@ def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
     tau with mode_distance_at_tau = d*. When no candidate passed the bound,
     the refined best grid minimum gets one true-distance evaluation, and a
     distance below epsilon there is returned as found too; a grid with no
-    interior minimum offers the lower of its two ends, and a horizon shorter
-    than one grid step is scanned with one step that ends on it. Refines
-    stay inside [min_time, max_time], so tau never passes the horizon.
+    interior minimum offers its last point, and a horizon shorter than one
+    grid step is scanned with one step that ends on it. Refines stay inside
+    [min_time, max_time], so tau never passes the horizon. A refine that
+    ends on the lower end of its bracket found the distance rising there,
+    as it does from the identity at t = 0: that is not a return, and its
+    point is never tau.
     Otherwise the result is negative, and best_distance_seen is the smallest
     true distance evaluated. A scan that reaches GRID_POINT_BUDGET points
     stops there with budget_exhausted set; the fallback evaluation still
@@ -255,9 +263,11 @@ def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
             budget_exhausted=budget_exhausted,
         )
 
-    def refine(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def refine(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Minimisers, their mode distances, and whether each is a return."""
         lo, hi = np.maximum(centers - h, query.min_time), np.minimum(centers + h, t_end)
-        return _refine(nu_modes, lo, hi)
+        t_star, d_star = _refine(nu_modes, lo, hi)
+        return t_star, d_star, t_star - lo > _bracket_tol(lo, hi)
 
     def consider(centers: np.ndarray) -> Optional[RecurrenceResult]:
         """Refine the grid minima at ``centers`` and confirm them in grid order.
@@ -274,8 +284,8 @@ def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
         start, size = 0, _FIRST_BATCH
         while start < centers.size:
             batch = refine(centers[start:start + size])
-            for t_star, d_star in zip(*(x.tolist() for x in batch)):
-                if d_star <= threshold and t_star > query.min_time:
+            for t_star, d_star, returns in zip(*(x.tolist() for x in batch)):
+                if d_star <= threshold and returns:
                     dist = true_distance(t_star)
                     best_true = min(best_true, dist)
                     if dist < query.epsilon:
@@ -311,17 +321,18 @@ def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
             j = j_hi + 1
 
     if best_grid is None and n_points > 2:
-        # no interior grid minimum: the lowest grid point is an end of the scan
-        ends = query.min_time + np.array([0, n_points]) * h
-        d = _mode_distance(nu_modes, ends)
-        k_best = int(np.argmin(d))
-        best_grid = (float(ends[k_best]), float(d[k_best]))
+        # no interior grid minimum: offer the last grid point, never min_time
+        t_last = query.min_time + n_points * h
+        best_grid = (t_last, float(_mode_distance(nu_modes, np.array([t_last]))[0]))
 
     if not math.isfinite(best_true) and best_grid is not None:
         # report an honest true distance at the best bound seen; the bound
         # is loose by up to K, so that distance may itself be below epsilon
-        t_star, d_star = (float(x[0]) for x in refine(np.array([best_grid[0]])))
-        best_true = true_distance(t_star)
-        if best_true < query.epsilon and t_star > query.min_time:
-            return result(t_star, best_true, d_star)
+        t_star, d_star, returns = (x[0].item() for x in refine(np.array([best_grid[0]])))
+        if not returns:
+            best_true = true_distance(best_grid[0])
+        else:
+            best_true = true_distance(t_star)
+            if best_true < query.epsilon:
+                return result(t_star, best_true, d_star)
     return result()

@@ -255,17 +255,23 @@ def test_recur_beyond_the_grid_budget_is_an_honest_negative(capsys):
     assert results["tau"] is None
 
 
-def test_recur_horizon_shorter_than_one_grid_step_still_reports(capsys):
+@pytest.mark.parametrize(
+    "horizon", [("--after", "1", "--t-max", "1.1"), ("--t-max", "3"), ("--t-max", "0.9")]
+)
+def test_recur_horizon_without_a_return_reports_none(capsys, horizon):
     # the grid step here is 2 pi / 16 > 0.1: the scan once saw no point and
-    # the report failed on best_distance_seen = inf, exit 2
+    # the report failed on best_distance_seen = inf, exit 2. From the default
+    # --after 0 the distance only rises up to t = 3, and a refine once slid
+    # down to t ~ 4e-13 and reported the identity at t = 0 as a recurrence
     code, out, err = run_cli(
-        capsys, "recur", "--model", str(MODELS / "single_mode.json"),
-        "--epsilon", "0.1", "--after", "1", "--t-max", "1.1",
+        capsys, "recur", "--model", str(MODELS / "single_mode.json"), "--epsilon", "0.1", *horizon
     )
     assert (code, err) == (0, "")
     results = report_of(out)["results"]
     assert results["found"] is False
+    assert results["tau"] is None
     assert math.isfinite(results["best_distance_seen"])
+    assert results["best_distance_seen"] > 0.1
 
 
 def test_recur_infinite_horizon_is_a_query_error(capsys):

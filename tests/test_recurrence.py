@@ -347,20 +347,29 @@ def test_refine_does_not_count_as_grid_points(monkeypatch):
 
 @pytest.mark.parametrize(
     "min_time,max_time,found",
-    [(1.0, 1.1, False), (6.0, 6.2, True), (5.5, 6.2, True), (1.0, 6.2, True), (0.5, 3.0, False)],
+    [
+        (1.0, 1.1, False), (6.0, 6.2, True), (5.5, 6.2, True), (1.0, 6.2, True),
+        (0.5, 3.0, False), (0.0, 3.0, False), (0.0, 0.3, False), (0.0, 0.9, False),
+        (6.3, 7.0, False), (6.2, 7.0, True),
+    ],
 )
 def test_a_short_horizon_is_searched_up_to_its_end_and_no_further(min_time, max_time, found):
     # a horizon shorter than one grid step (2 pi / 16), or a grid with no
     # interior minimum, once left best_distance_seen at inf; a refine at the
-    # horizon's end once returned tau = 2 pi past max_time = 6.2
+    # horizon's end once returned tau = 2 pi past max_time = 6.2. From
+    # min_time = 0 or 6.3 the distance only rises, and a refine once slid
+    # down to min_time and offered the start of the horizon as tau
     H = QuadraticHamiltonian(1, np.eye(2))
     query = RecurrenceQuery(hamiltonian=H, epsilon=0.5, min_time=min_time, max_time=max_time)
     result = find_recurrence(query)
     assert math.isfinite(result.best_distance_seen)
     assert result.found is found
     if found:
-        assert min_time < result.tau <= max_time
+        assert min_time + 0.05 < result.tau <= max_time
         assert result.achieved_distance == result.best_distance_seen < 0.5
+    else:
+        assert result.tau is None
+        assert result.best_distance_seen > 0.1
 
 
 def test_grid_point_budget_stops_the_scan(monkeypatch):
