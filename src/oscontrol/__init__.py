@@ -48,7 +48,6 @@ from .williamson import (
 from .recurrence import (
     RecurrenceQuery,
     RecurrenceResult,
-    conditioning_bound,
     find_recurrence,
     mode_distance,
 )
@@ -88,7 +87,7 @@ __all__ = [
     "symplectic_eigenvalues", "williamson_decompose", "spectrum_certificate",
     # recurrence
     "RecurrenceQuery", "RecurrenceResult",
-    "mode_distance", "conditioning_bound", "find_recurrence",
+    "mode_distance", "find_recurrence",
     # evolution
     "ControlModel", "ControlSchedule", "CovarianceState",
     "propagate", "evolve_covariance",

@@ -100,14 +100,14 @@ def _controls(spec: ChainSpec) -> tuple[QuadraticHamiltonian, QuadraticHamiltoni
     )
 
 
-def _window(spec: ChainSpec, model: ControlModel, m: int) -> tuple[ChainSpec, ControlModel]:
-    """The chain on sites 1..m of ``model``, the chain of ``spec``: (spec, model).
+def _window(spec: ChainSpec, model: ControlModel) -> tuple[ChainSpec, ControlModel]:
+    """The chain on sites 1..3 of ``model``, the chain of ``spec``: (spec, model).
 
-    Its drift is the top-left 2m x 2m block of ``model``'s, which is the
-    m-site chain's drift exactly.
+    Its drift is the top-left 6 x 6 block of ``model``'s, which is the
+    3-site chain's drift exactly.
     """
-    window = replace(spec, n=m)
-    drift = QuadraticHamiltonian(m, model.drift.A[:2 * m, :2 * m], label="H0")
+    window = replace(spec, n=3)
+    drift = QuadraticHamiltonian(3, model.drift.A[:6, :6], label="H0")
     return window, ControlModel(drift=drift, controls=_controls(window))
 
 
@@ -173,14 +173,11 @@ def _triple_message(
 # The symmetric operators (number, exchange, pair creation, squeeze) come
 # from the term builders of ``hamiltonians``. The three antisymmetric ones,
 # i (1/2) R^T A R with a q-p coupling block, have no term builder and are
-# assembled here. Derivations expand a_j = (q_j + i p_j)/sqrt(2) and drop
-# scalar constants (which vanish in the 2n x 2n representation). Blocks are
-# written in the interleaved (q, p) ordering; j, k are 1-based sites.
+# assembled here, as 6 x 6 forms on the 3-site window. Derivations expand
+# a_j = (q_j + i p_j)/sqrt(2) and drop scalar constants (which vanish in the
+# 2n x 2n representation). Blocks are written in the interleaved (q, p)
+# ordering; j, k are 1-based sites.
 # --------------------------------------------------------------------------
-
-
-def _blocks(n: int) -> np.ndarray:
-    return np.zeros((2 * n, 2 * n))
 
 
 def _put(A: np.ndarray, j: int, k: int, blk: np.ndarray) -> np.ndarray:
@@ -188,25 +185,25 @@ def _put(A: np.ndarray, j: int, k: int, blk: np.ndarray) -> np.ndarray:
     return A
 
 
-def _exchange_anti_form(n: int, j: int, k: int) -> np.ndarray:
+def _exchange_anti_form(j: int, k: int) -> np.ndarray:
     # a_j^dag a_k - a_j a_k^dag = i (q_j p_k - p_j q_k)
-    A = _blocks(n)
+    A = np.zeros((6, 6))
     b = np.array([[0.0, 1.0], [-1.0, 0.0]])
     _put(A, j, k, b)
     return _put(A, k, j, b.T)
 
 
-def _pair_anti_form(n: int, j: int, k: int) -> np.ndarray:
+def _pair_anti_form(j: int, k: int) -> np.ndarray:
     # a_j^dag a_k^dag - a_j a_k = -i (q_j p_k + p_j q_k)
-    A = _blocks(n)
+    A = np.zeros((6, 6))
     b = np.array([[0.0, -1.0], [-1.0, 0.0]])
     _put(A, j, k, b)
     return _put(A, k, j, b.T)
 
 
-def _squeeze_anti_form(n: int, j: int) -> np.ndarray:
+def _squeeze_anti_form(j: int) -> np.ndarray:
     # a_j^dag2 - a_j^2 = -i (q_j p_j + p_j q_j)  ->  block_j = [[0,-2],[-2,0]]
-    return _put(_blocks(n), j, j, np.array([[0.0, -2.0], [-2.0, 0.0]]))
+    return _put(np.zeros((6, 6)), j, j, np.array([[0.0, -2.0], [-2.0, 0.0]]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,7 +215,6 @@ class IdentityRecord:
     """
 
     name: str
-    description: str
     lhs: np.ndarray
     rhs: np.ndarray
     holds: bool
@@ -243,7 +239,7 @@ def _divide(X: np.ndarray, d: int, p: int) -> np.ndarray:
 
 
 class _Units(NamedTuple):
-    """The identity suite's parameter-free unit generators on one window."""
+    """The identity suite's parameter-free unit generators on the 3-site window."""
 
     sq_anti_1: np.ndarray
     sq_anti_2: np.ndarray
@@ -253,13 +249,13 @@ class _Units(NamedTuple):
     pr_anti_12: np.ndarray
     pr_sym_12: np.ndarray
     num_2: np.ndarray
-    ex_sym_23: Optional[np.ndarray]  # None on the 2-site window
-    ex_sym_13: Optional[np.ndarray]
+    ex_sym_23: np.ndarray
+    ex_sym_13: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
-def _unit_generators(n: int) -> _Units:
-    """The unit generators on the n-site window, built once per window size.
+def _unit_generators() -> _Units:
+    """The unit generators on the 3-site window, built once per process.
 
     They are read-only, and their entries are 0, +-1 and +-2: they are their
     own centred residues mod any prime of the closure, so the identity table
@@ -267,36 +263,35 @@ def _unit_generators(n: int) -> _Units:
     """
 
     def term(t: ham.HamiltonianTerm) -> np.ndarray:
-        return ham.generator(ham.from_terms(n, [t]))
+        return ham.generator(ham.from_terms(3, [t]))
 
     def anti(A: np.ndarray) -> np.ndarray:
-        return ham.generator(QuadraticHamiltonian(n, A))
+        return ham.generator(QuadraticHamiltonian(3, A))
 
     return _Units(
-        sq_anti_1=anti(_squeeze_anti_form(n, 1)),
-        sq_anti_2=anti(_squeeze_anti_form(n, 2)),
+        sq_anti_1=anti(_squeeze_anti_form(1)),
+        sq_anti_2=anti(_squeeze_anti_form(2)),
         sq_sym_2=term(ham.squeeze(2, 1.0)),
-        ex_anti_12=anti(_exchange_anti_form(n, 1, 2)),
+        ex_anti_12=anti(_exchange_anti_form(1, 2)),
         ex_sym_12=term(ham.hop(1, 2, 1.0)),
-        pr_anti_12=anti(_pair_anti_form(n, 1, 2)),
+        pr_anti_12=anti(_pair_anti_form(1, 2)),
         pr_sym_12=term(ham.pair(1, 2, 1.0)),
         num_2=term(ham.number(2, 1.0)),
-        ex_sym_23=term(ham.hop(2, 3, 1.0)) if n >= 3 else None,
-        ex_sym_13=term(ham.hop(1, 3, 1.0)) if n >= 3 else None,
+        ex_sym_23=term(ham.hop(2, 3, 1.0)),
+        ex_sym_13=term(ham.hop(1, 3, 1.0)),
     )
 
 
 def _identity_table(
     spec: ChainSpec, model: ControlModel, p: int,
-) -> list[tuple[str, str, Callable[[int], np.ndarray], np.ndarray]]:
-    """The identity suite as data, over F_p: (name, description, lhs builder, rhs).
+) -> list[tuple[str, Callable[[int], np.ndarray], np.ndarray]]:
+    """The identity suite as data, over F_p: (name, lhs builder, rhs).
 
-    ``model`` is the chain of ``spec``, of 3 sites, or of 2 sites without
-    long-distance-13, the one identity that needs site 3. Every identity
-    touches sites 1-3 only. Every input float is a dyadic rational, so its
-    residue mod p is exact; each bracket and division reduces its operands
-    first, so every product is an exact integer below 2^53, and so is every
-    linear combination the table forms of residues with residue weights.
+    ``model`` is the 3-site chain of ``spec``. Every input float is a dyadic
+    rational, so its residue mod p is exact; each bracket and division
+    reduces its operands first, so every product is an exact integer below
+    2^53, and so is every linear combination the table forms of residues
+    with residue weights.
 
     Each lhs builder takes an integer scale factor applied to the identity's one
     mutable coefficient, so the test harness can prove non-vacuity by
@@ -306,7 +301,8 @@ def _identity_table(
     record. In table order, each lhs is formed from the seeds
     {iH0, iH1, iH2} and the rhs of earlier identities only; long-distance-13
     alone also uses the bond (2, 3). So every rhs but that one lies in the
-    Lie algebra of the seeds.
+    Lie algebra of the seeds. In each of the other eleven identities, every
+    bracket has an operand supported on sites {1, 2}, and so does every rhs.
 
     Bracket combinations carry exact parameter scalings. The derivations fix
     three places where the unit-coefficient shorthand would break down for
@@ -314,118 +310,63 @@ def _identity_table(
     weighted by 2 * omega, the symmetric pair creator needs the reversed
     bracket order [iH1, .], and the site-2 squeeze closes with a factor 1/2.
     """
-    n = spec.n
     w, w1, x, g = (_residue(v, p) for v in (spec.omega, spec.omega1, spec.chi, spec.g1))
     br, div = functools.partial(_bracket, p=p), functools.partial(_divide, p=p)
 
     h0, h1, h2 = (_to_field(ham.generator(H), p) for H in (model.drift, *model.controls))
     (sq_anti_1, sq_anti_2, sq_sym_2, ex_anti_12, ex_sym_12, pr_anti_12, pr_sym_12, num_2,
-     ex_sym_23, ex_sym_13) = _unit_generators(n)
+     ex_sym_23, ex_sym_13) = _unit_generators()
     mix_12 = ex_anti_12 + pr_anti_12
     mix_sym_12 = ex_sym_12 + pr_sym_12
 
-    table: list[tuple[str, str, Callable[[int], np.ndarray], np.ndarray]] = []
-
-    def add(name, description, lhs, rhs):
-        table.append((name, description, lhs, rhs))
-
-    # [iH2, iH1] = 2 omega1 chi (a1^dag2 - a1^2): both controls live on site 1
-    add(
-        "squeeze-anti-1",
-        "half bracket of the squeezing control with the rotation control",
-        lambda s: div(s * br(h2, h1), 2 * w1 * x),
-        sq_anti_1,
-    )
-    # [iH0, iH1] = omega1 g [(a1^dag a2 - a1 a2^dag) + (a1^dag a2^dag - a1 a2)]:
-    # the drift's number part commutes with iH1, only the bond (1,2) survives
-    add(
-        "coupling-mix-12",
-        "bracket of the drift with the rotation control, normalised by omega1 g",
-        lambda s: div(s * br(h0, h1), w1 * g),
-        mix_12,
-    )
-    # [iH1, mix] = omega1 * i(a1^dag a2^dag + a1^dag a2 + a1 a2^dag + a1 a2):
-    # the rotation flips the antisymmetric mix into the symmetric one
-    add(
-        "coupling-mix-sym-12",
-        "rotation-control bracket of the antisymmetric coupling mix",
-        lambda s: div(s * br(h1, mix_12), w1),
-        mix_sym_12,
-    )
-    # [[mix, iH0] + 2 omega mix_sym, iH1] = 2 omega omega1 (a1^dag a2 - a1 a2^dag):
-    # [mix, iH0] = -2 omega pair_sym - 4 g number_2 - 2 g squeeze_sym_2 (the
-    # bond (2,3) contribution cancels identically), the g-dependent part
-    # commutes with iH1, and the symmetric mix restores the exchange part;
-    # the symmetric-mix weight must scale with omega, not omega1
-    add(
-        "exchange-anti-12",
-        "composite bracket isolating the antisymmetric exchange between sites 1 and 2",
-        lambda s: div(br(br(mix_12, h0) + s * 2 * w * mix_sym_12, h1), 2 * w * w1),
-        ex_anti_12,
-    )
-    # mix - exchange = pair part, a linear identity independent of parameters
-    add(
-        "pair-anti-12",
-        "antisymmetric pair creator as coupling mix minus exchange",
-        lambda s: mix_12 - s * ex_anti_12,
-        pr_anti_12,
-    )
-    # [pair_anti, exchange_anti] = (a2^dag2 - a2^2) - (a1^dag2 - a1^2), so the
-    # site-1 squeeze from the first identity completes the site-2 squeeze
-    add(
-        "squeeze-anti-2",
-        "site-2 antisymmetric squeeze from the two-site pair and exchange generators",
-        lambda s: br(pr_anti_12, ex_anti_12) + s * sq_anti_1,
-        sq_anti_2,
-    )
-    # [iH1, pair_anti] = omega1 * i(a1^dag a2^dag + a1 a2); bracket order
-    # matters, the reversed order flips the sign
-    add(
-        "pair-sym-12",
-        "symmetric pair creator from the rotation control and the antisymmetric pair",
-        lambda s: div(s * br(h1, pr_anti_12), w1),
-        pr_sym_12,
-    )
-    # [iH1, mix - 2 exchange] = omega1 (pair_sym - exchange_sym)
-    add(
-        "coupling-diff-12",
-        "rotation bracket of the exchange-suppressed mix",
-        lambda s: div(br(h1, mix_12 - s * 2 * ex_anti_12), w1),
-        pr_sym_12 - ex_sym_12,
-    )
-    # symmetric mix minus the previous difference leaves twice the exchange
-    add(
-        "exchange-sym-12",
-        "symmetric exchange (beam-splitter) generator between sites 1 and 2",
-        lambda s: div(s * (mix_sym_12 - (pr_sym_12 - ex_sym_12)), 2),
-        ex_sym_12,
-    )
-    # [exchange_sym, exchange_anti] = 2 i (N2 - N1), so adding back twice the
-    # normalised rotation control leaves the site-2 number generator
-    add(
-        "number-2",
-        "site-2 number generator from the exchange pair and the rotation control",
-        lambda s: div(div(s * 2 * h1, w1) + br(ex_sym_12, ex_anti_12), 2),
-        num_2,
-    )
-    # [i N2, a2^dag2 - a2^2] = 2 i (a2^dag2 + a2^2); the factor 1/2 is exact
-    add(
-        "squeeze-sym-2",
-        "site-2 symmetric squeeze from the site-2 number and antisymmetric squeeze",
-        lambda s: div(s * br(num_2, sq_anti_2), 2),
-        sq_sym_2,
-    )
-    if n < 3:
-        return table
-    # [i(a2^dag a3 + a2 a3^dag), a1 a2^dag - a1^dag a2] = i(a1^dag a3 + a1 a3^dag):
-    # distant sites connect through one shared-site bracket with unit scalar
-    add(
-        "long-distance-13",
-        "beam-splitter between sites 1 and 3 through the shared site 2",
-        lambda s: s * br(ex_sym_23, -ex_anti_12),
-        ex_sym_13,
-    )
-    return table
+    return [
+        # [iH2, iH1] = 2 omega1 chi (a1^dag2 - a1^2): both controls live on site 1
+        ("squeeze-anti-1", lambda s: div(s * br(h2, h1), 2 * w1 * x), sq_anti_1),
+        # [iH0, iH1] = omega1 g [(a1^dag a2 - a1 a2^dag) + (a1^dag a2^dag - a1 a2)]:
+        # the drift's number part commutes with iH1, only the bond (1,2) survives
+        ("coupling-mix-12", lambda s: div(s * br(h0, h1), w1 * g), mix_12),
+        # [iH1, mix] = omega1 * i(a1^dag a2^dag + a1^dag a2 + a1 a2^dag + a1 a2):
+        # the rotation flips the antisymmetric mix into the symmetric one
+        ("coupling-mix-sym-12", lambda s: div(s * br(h1, mix_12), w1), mix_sym_12),
+        # [[mix, iH0] + 2 omega mix_sym, iH1] = 2 omega omega1 (a1^dag a2 - a1 a2^dag):
+        # [mix, iH0] = -2 omega pair_sym - 4 g number_2 - 2 g squeeze_sym_2 (the
+        # bond (2,3) contribution cancels identically), the g-dependent part
+        # commutes with iH1, and the symmetric mix restores the exchange part;
+        # the symmetric-mix weight must scale with omega, not omega1
+        (
+            "exchange-anti-12",
+            lambda s: div(br(br(mix_12, h0) + s * 2 * w * mix_sym_12, h1), 2 * w * w1),
+            ex_anti_12,
+        ),
+        # mix - exchange = pair part, a linear identity independent of parameters
+        ("pair-anti-12", lambda s: mix_12 - s * ex_anti_12, pr_anti_12),
+        # [pair_anti, exchange_anti] = (a2^dag2 - a2^2) - (a1^dag2 - a1^2), so the
+        # site-1 squeeze from the first identity completes the site-2 squeeze
+        ("squeeze-anti-2", lambda s: br(pr_anti_12, ex_anti_12) + s * sq_anti_1, sq_anti_2),
+        # [iH1, pair_anti] = omega1 * i(a1^dag a2^dag + a1 a2); bracket order
+        # matters, the reversed order flips the sign
+        ("pair-sym-12", lambda s: div(s * br(h1, pr_anti_12), w1), pr_sym_12),
+        # [iH1, mix - 2 exchange] = omega1 (pair_sym - exchange_sym)
+        (
+            "coupling-diff-12",
+            lambda s: div(br(h1, mix_12 - s * 2 * ex_anti_12), w1),
+            pr_sym_12 - ex_sym_12,
+        ),
+        # symmetric mix minus the previous difference leaves twice the exchange
+        (
+            "exchange-sym-12",
+            lambda s: div(s * (mix_sym_12 - (pr_sym_12 - ex_sym_12)), 2),
+            ex_sym_12,
+        ),
+        # [exchange_sym, exchange_anti] = 2 i (N2 - N1), so adding back twice the
+        # normalised rotation control leaves the site-2 number generator
+        ("number-2", lambda s: div(div(s * 2 * h1, w1) + br(ex_sym_12, ex_anti_12), 2), num_2),
+        # [i N2, a2^dag2 - a2^2] = 2 i (a2^dag2 + a2^2); the factor 1/2 is exact
+        ("squeeze-sym-2", lambda s: div(s * br(num_2, sq_anti_2), 2), sq_sym_2),
+        # [i(a2^dag a3 + a2 a3^dag), a1 a2^dag - a1^dag a2] = i(a1^dag a3 + a1 a3^dag):
+        # distant sites connect through one shared-site bracket with unit scalar
+        ("long-distance-13", lambda s: s * br(ex_sym_23, -ex_anti_12), ex_sym_13),
+    ]
 
 
 IDENTITY_NAMES = (
@@ -463,18 +404,6 @@ def identity_suite_unmet(spec: ChainSpec) -> list[str]:
         if not _residue(getattr(spec, name), p):
             unmet.append(f"nonzero {name} mod p = {p} for its normalisations")
     return unmet
-
-
-def _records(
-    spec: ChainSpec, model: ControlModel, m: int, p: int, mutate: Mapping[str, int],
-) -> tuple[IdentityRecord, ...]:
-    """The identity table on the m-site window of ``model``, checked mod p."""
-    records = []
-    for name, description, lhs_builder, rhs in _identity_table(*_window(spec, model, m), p):
-        lhs = _reduce(lhs_builder(mutate.get(name, 1)), p)
-        holds = not _reduce(lhs - rhs, p).any()
-        records.append(IdentityRecord(name, description, lhs, rhs, holds))
-    return tuple(records)
 
 
 def verify_bracket_identities(
@@ -515,8 +444,13 @@ def verify_bracket_identities(
         raise ValueError(f"mutate factors must be finite, got {mutate}")
 
     p = PRIMES[0]
-    records = _records(spec, model, 3, p, {k: _residue(float(v), p) for k, v in mutate.items()})
-    return IdentityReport(records=records, prime=p, all_pass=all(r.holds for r in records))
+    records = []
+    for name, lhs_builder, rhs in _identity_table(*_window(spec, model), p):
+        lhs = _reduce(lhs_builder(_residue(float(mutate.get(name, 1)), p)), p)
+        records.append(IdentityRecord(name, lhs, rhs, holds=not _reduce(lhs - rhs, p).any()))
+    return IdentityReport(
+        records=tuple(records), prime=p, all_pass=all(r.holds for r in records),
+    )
 
 
 @dataclass(frozen=True)
@@ -561,29 +495,36 @@ def _gluing_lemma() -> LieSubspace:
 
 
 def _chain_induction(
-    spec: ChainSpec, model: ControlModel, identities: Optional[IdentityReport],
+    spec: ChainSpec, identities: Optional[IdentityReport],
 ) -> Optional[ChainInduction]:
-    """Prove full rank from fixed-size exact checks over F_p, or return None.
+    """Prove full rank from two fixed-size exact checks over F_p, or return None.
 
-    p = ``PRIMES[0]``, ``model`` is the chain of ``spec`` with both controls,
-    and ``identities`` is its 3-site suite (:func:`verify_bracket_identities`),
-    or None where ``identity_suite_unmet(spec)`` is not empty. Let L be the
-    Lie algebra the residues of {iH0, iH1, iH2} generate over F_p. Three
-    checks prove by induction on k that L contains sp(2k) on sites 1..k:
+    p = ``PRIMES[0]``, and ``identities`` is the 3-site suite
+    (:func:`verify_bracket_identities`) of the chain of ``spec`` with both
+    controls, or None where ``identity_suite_unmet(spec)`` is not empty. Let
+    L be the Lie algebra the residues of {iH0, iH1, iH2} generate over F_p.
+    Two checks prove by induction on k that L contains sp(2k) on sites 1..k:
 
     (a) the identity suite holds mod p on the 3-site window chain at
         (omega, g, omega1 = chi = 1);
-    (b) the suite without long-distance-13 holds mod p on the 2-site window;
-    (c) the gluing lemma: sp(4) on sites {1, 2}, sp(2) on site 3 and
+    (b) the gluing lemma: sp(4) on sites {1, 2}, sp(2) on site 3 and
         hop(2, 3) close to sp(6).
 
-    Checks (a) and (b) are read at the spec's own (omega1, chi), which gives
-    the same residues. The preconditions make the residues r(omega1) and
-    r(chi) nonzero; the residue of iH1 is exactly r(omega1) N_1 and that of
-    iH2 exactly r(chi) S_1, since N_1 and S_1 have entries 0, +-1 and +-2.
-    Every identity is linear in iH1, or in iH1 and iH2 together, and divides
-    the matching scalar out again, so each lhs residue is the one at
+    Check (a) is read at the spec's own (omega1, chi), which gives the same
+    residues. The preconditions make the residues r(omega1) and r(chi)
+    nonzero; the residue of iH1 is exactly r(omega1) N_1 and that of iH2
+    exactly r(chi) S_1, since N_1 and S_1 have entries 0, +-1 and +-2. Every
+    identity is linear in iH1, or in iH1 and iH2 together, and divides the
+    matching scalar out again, so each lhs residue is the one at
     omega1 = chi = 1.
+
+    Restriction lemma. If X vanishes outside the block of a site set S, the
+    S block of [X, Y] is [X_S, Y_S], the bracket of the two S blocks. In each
+    identity but long-distance-13, every bracket has an operand supported on
+    sites {1, 2}, and so does the rhs. So on the 2-site chain, whose seeds and
+    unit generators are the top-left 4 x 4 blocks of the 3-site ones, each
+    of those eleven identities has for its two sides the top-left blocks of
+    its two sides on the 3-site window, and holds wherever check (a) holds.
 
     Base: N_1 = H1 / omega1 and S_1 = H2 / chi are in L, and with
     squeeze-anti-1 they span sp(2) on site 1.
@@ -594,14 +535,15 @@ def _chain_induction(
     on sites k..n at omega1 = chi = 1, inside L. The suite brackets with the
     drift only through [H0, H1] and [mix, H0], which see the drift's terms
     on sites k, k + 1 and k + 2 alone; so check (a) holds on the longer
-    chain too, and check (b) where only sites k, k + 1 are left. In table
+    chain too, and at k = n - 1, where only sites n - 1, n are left, the
+    restriction lemma gives the eleven identities the step uses. In table
     order each identity's rhs is built from the seeds and earlier rhs, so L
     holds sp(2) on site k + 1 (number-2, squeeze-anti-2, squeeze-sym-2) and
     all four bond (k, k + 1) generators (exchange and pair, symmetric and
     antisymmetric). As a vector space, sp(2k + 2) on sites 1..k + 1 is
     sp(2k) on 1..k, plus sp(2) on k + 1, plus the couplings of each site
     j <= k to k + 1. The bond gives j = k. For j < k, sp(4) on {j, k} lies
-    in sp(2k), and check (c), relabelled to sites (j, k, k + 1), puts the
+    in sp(2k), and check (b), relabelled to sites (j, k, k + 1), puts the
     (j, k + 1) couplings in L.
 
     At k = n, L = sp(2n) over F_p, of dimension n(2n+1); by the closure
@@ -611,13 +553,10 @@ def _chain_induction(
     """
     if identities is None or not identities.all_pass:
         return None
-    p = identities.prime
-    if not all(r.holds for r in _records(spec, model, 2, p, {})):
-        return None
     lemma = _gluing_lemma()
-    if not (lemma.prime == p and lemma.full_rank):
+    if not (lemma.prime == identities.prime and lemma.full_rank):
         return None
-    return ChainInduction(n=spec.n, prime=p)
+    return ChainInduction(n=spec.n, prime=identities.prime)
 
 
 VERDICT_CONTROLLABLE = "CONTROLLABLE"
@@ -680,7 +619,7 @@ def controllability_report(
     identities = None
     if include_squeeze_control and not identity_suite_unmet(spec):
         identities = verify_bracket_identities(spec, model=model)
-    rank = _chain_induction(spec, model, identities)
+    rank = _chain_induction(spec, identities)
     if rank is None:
         controls = model.controls if include_squeeze_control else model.controls[:1]
         rank = closure([model.drift, *controls])

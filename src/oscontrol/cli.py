@@ -20,9 +20,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .chain import (
-    VERDICT_CONTROLLABLE, ChainSpec, TripleParams, controllability_report, identity_suite_unmet,
-)
+from .chain import VERDICT_CONTROLLABLE, ChainSpec, TripleParams, controllability_report
 from .closure import LieSubspace, closure, full_dimension
 from .documents import (
     DocumentError,
@@ -211,12 +209,6 @@ def cmd_chain(args, report: dict) -> int:
         omega1=args.omega1, chi=args.chi,
     )
     params = TripleParams(alpha=args.alpha, beta=args.beta, delta=args.delta)
-    unmet = identity_suite_unmet(spec)
-    if args.h1_only:
-        unmet.append("the squeeze control (--h1-only excludes it)")
-    if args.identities == "require" and unmet:
-        raise ValueError(f"identity suite needs {'; '.join(unmet)}")
-
     echo = {
         "n": spec.n, "omega": spec.omega, "g1": spec.g1, "g2": spec.g2,
         "omega1": spec.omega1, "chi": spec.chi,
@@ -246,7 +238,7 @@ def cmd_chain(args, report: dict) -> int:
             "diagnostics": _closure_diagnostics(rank),
         }
     )
-    identities = rep.identities if args.identities != "skip" else None
+    identities = rep.identities
     if identities is not None:
         results["identities"] = {
             "all_pass": identities.all_pass,
@@ -324,10 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument(
-        "--identities", choices=("auto", "require", "skip"), default="auto",
-        help="bracket-identity suite: run when applicable, insist, or skip",
-    )
     p.add_argument(
         "--h1-only", action="store_true",
         help="restrict controls to the local phase rotation (passive regime)",

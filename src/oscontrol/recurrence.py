@@ -46,7 +46,6 @@ __all__ = [
     "RecurrenceQuery",
     "RecurrenceResult",
     "mode_distance",
-    "conditioning_bound",
     "find_recurrence",
 ]
 
@@ -94,17 +93,6 @@ def mode_distance(nu, t):
     return d.reshape(t_arr.shape)
 
 
-def conditioning_bound(H) -> float:
-    """The constant K = ||V||_F^2 for the Williamson basis V of A.
-
-    K equals ||W||_F ||W^{-1}||_F for the diagonaliser W = V U of A Omega,
-    where U pairs each normal-mode block into +/- i nu: U is unitary, and
-    V^{-1} = -Omega V^T Omega has the norm of V. K >= 2n always, with equality when V is orthogonal (for instance
-    A = identity).
-    """
-    return float(np.linalg.norm(williamson_decompose(H).V) ** 2)
-
-
 @dataclass(frozen=True)
 class RecurrenceQuery:
     """Search request: find tau > min_time with distance below epsilon."""
@@ -144,7 +132,7 @@ class RecurrenceResult:
     tau: Optional[float]
     achieved_distance: Optional[float]
     mode_distance_at_tau: Optional[float]
-    conditioning: float  # K = ||V||_F^2
+    conditioning: float  # K = ||V||_F^2 >= 2n, with equality when V is orthogonal
     best_distance_seen: float
     nu: tuple[float, ...]
     budget_exhausted: bool  # the scan stopped at GRID_POINT_BUDGET, short of max_time
@@ -222,6 +210,9 @@ def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
     true distance evaluated. A scan that reaches GRID_POINT_BUDGET points
     stops there with budget_exhausted set; the fallback evaluation still
     runs on what it saw.
+
+    Raises ValueError, before any scan, when no max_time is given and the
+    default horizon rounds back to min_time, as it does for min_time = 1e300.
     """
     H = query.hamiltonian
     dec = williamson_decompose(H)  # raises DefinitenessError when A is not > 0
@@ -233,6 +224,11 @@ def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
     t_end = query.max_time
     if t_end is None:
         t_end = query.min_time + DEFAULT_HORIZON_PERIODS * (2.0 * math.pi / float(nu[0]))
+    if not t_end - query.min_time > 0:
+        raise ValueError(
+            f"min_time {query.min_time:g} leaves no default horizon after it in floating "
+            f"point; give max_time (--t-max)"
+        )
     h = min(h, t_end - query.min_time)  # a horizon shorter than one step still scans its end
     threshold = query.epsilon / K
 

@@ -20,7 +20,6 @@ from oscontrol import (
     audit_symplecticity,
     build_chain,
     closure,
-    conditioning_bound,
     controllability_report,
     evolve_covariance,
     expm,
@@ -152,7 +151,7 @@ def test_criterion_5_recurrence():
     )
 
     nu = symplectic_eigenvalues(H2)
-    K = conditioning_bound(H2)
+    K = res2.conditioning  # the K the search filtered with
     G = -A @ symplectic_form(2)
     chain_ok = all(
         identity_distance(expm(G, t)) <= K * mode_distance(nu, t) + 1e-9

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from oscontrol import (
     ChainInduction,
     ChainSpec,
+    ControlModel,
     LieSubspace,
     QuadraticHamiltonian,
     TripleParams,
@@ -335,7 +338,7 @@ INDUCTION_GRID = [
 @pytest.mark.parametrize("spec", INDUCTION_GRID, ids=lambda s: f"n{s.n}-g{s.g1}-w{s.omega}")
 def test_induction_certificate_agrees_with_the_closure(spec):
     model = build_chain(spec)
-    certificate = chain._chain_induction(spec, model, verify_bracket_identities(spec, model=model))
+    certificate = chain._chain_induction(spec, verify_bracket_identities(spec, model=model))
     assert certificate == ChainInduction(n=spec.n, prime=PRIMES[0])
     sub = closure([model.drift, *model.controls])
     assert sub.full_rank and sub.dimension == certificate.dimension == full_dimension(spec.n)
@@ -360,44 +363,37 @@ def test_the_closure_decides_where_the_induction_does_not_apply(spec, squeeze):
     assert isinstance(rep.rank, LieSubspace)
     assert rep.rank.certificate == "exact_mod_p"
     assert rep.identities is None
-    assert chain._chain_induction(spec, rep.model, rep.identities) is None
+    assert chain._chain_induction(spec, rep.identities) is None
 
 
-@pytest.mark.parametrize(
-    "name,window",
-    [(name, 3) for name in IDENTITY_NAMES] + [(name, 2) for name in IDENTITY_NAMES[:-1]],
-)
-def test_a_broken_identity_makes_the_induction_refuse(monkeypatch, name, window):
-    # check (a) runs the 3-site window, check (b) the 2-site one, which has
-    # no long-distance identity
+# ids keep the size of the window the identity is broken on, the 3-site one
+@pytest.mark.parametrize("name", IDENTITY_NAMES, ids=lambda name: f"{name}-3")
+def test_a_broken_identity_makes_the_induction_refuse(monkeypatch, name):
     table = chain._identity_table
 
     def broken(spec, model, p):
-        rows = table(spec, model, p)
-        if spec.n != window:
-            return rows
-        return [(k, d, (lambda s, f=lhs: 2 * f(s)) if k == name else lhs, rhs)
-                for k, d, lhs, rhs in rows]
+        return [(k, (lambda s, f=lhs: 2 * f(s)) if k == name else lhs, rhs)
+                for k, lhs, rhs in table(spec, model, p)]
 
     monkeypatch.setattr(chain, "_identity_table", broken)
     spec = ChainSpec(n=4, g1=0.2, g2=0.2)
     rep = controllability_report(spec)
-    assert rep.identities.all_pass is (window == 2)
-    assert chain._chain_induction(spec, rep.model, rep.identities) is None
+    assert rep.identities.all_pass is False
+    assert chain._chain_induction(spec, rep.identities) is None
     assert rep.rank.certificate == "exact_mod_p"
     assert rep.verdict == "CONTROLLABLE"
 
 
 def test_unit_generators_are_built_once_and_shared(monkeypatch):
     # the suite's parameter-free generators do not depend on the chain's
-    # parameters: two reports read the same read-only arrays in both
-    # windows, and each array is its own centred residue
+    # parameters: two reports read the same read-only arrays, and each array
+    # is its own centred residue
     table = chain._identity_table
     rows = []
 
     def spy(spec, model, p):
         out = table(spec, model, p)
-        rows.append({name: rhs for name, _, _, rhs in out})
+        rows.append({name: rhs for name, _, rhs in out})
         return out
 
     monkeypatch.setattr(chain, "_identity_table", spy)
@@ -405,19 +401,46 @@ def test_unit_generators_are_built_once_and_shared(monkeypatch):
                  ChainSpec(n=4, g1=0.1, g2=0.1, omega1=0.5, chi=2.0)):
         rep = controllability_report(spec)
         assert rep.rank.certificate == "chain_induction"
-    assert [len(r) for r in rows] == [12, 11, 12, 11]
-    units = chain._unit_generators(3)
+    assert [len(r) for r in rows] == [12, 12]
+    units = chain._unit_generators()
+    assert units is chain._unit_generators()
     for name, unit in (("squeeze-anti-1", units.sq_anti_1), ("pair-sym-12", units.pr_sym_12),
-                       ("exchange-sym-12", units.ex_sym_12), ("long-distance-13", units.ex_sym_13)):
-        assert all(r[name] is unit for r in rows if len(r) == 12)
-    assert all(r["number-2"] is chain._unit_generators(2).num_2 for r in rows if len(r) == 11)
-    for m in (2, 3):
-        for unit in chain._unit_generators(m):
-            if unit is None:
-                continue
-            assert not unit.flags.writeable
-            assert np.array_equal(_to_field(unit, PRIMES[0]), unit)
-    assert chain._unit_generators(2).ex_sym_13 is None
+                       ("exchange-sym-12", units.ex_sym_12), ("number-2", units.num_2),
+                       ("long-distance-13", units.ex_sym_13)):
+        assert all(r[name] is unit for r in rows)
+    for unit in units:
+        assert unit.shape == (6, 6)
+        assert not unit.flags.writeable
+        assert np.array_equal(_to_field(unit, PRIMES[0]), unit)
+
+
+@pytest.mark.parametrize("omega", [1.0, 1.5, 0.7])
+@pytest.mark.parametrize("g", [-0.3, 0.05, 0.2, 1.0])
+def test_the_two_site_suite_is_the_block_of_the_three_site_one(g, omega):
+    # the restriction lemma behind the induction's last step: with site 3
+    # and the bond (2, 3) cut from the drift, the 3-site window is the
+    # 2-site chain, and each of the first eleven identities' lhs there is
+    # the sites-{1, 2} block of its lhs on the real window, and zero outside
+    p = PRIMES[0]
+    compared = 0
+    for omega1, chi in itertools.product((-0.5, 2.0, 1.0), (0.5, 2.0, -1.0)):
+        spec = ChainSpec(n=3, omega=omega, g1=g, g2=g, omega1=omega1, chi=chi)
+        model = build_chain(spec)
+        A_cut = model.drift.A.copy()
+        A_cut[4:, :] = A_cut[:, 4:] = 0.0
+        cut = ControlModel(drift=QuadraticHamiltonian(3, A_cut), controls=model.controls)
+        real = chain._identity_table(spec, model, p)
+        for (name, lhs, rhs), (cut_name, cut_lhs, cut_rhs) in zip(
+            real[:11], chain._identity_table(spec, cut, p)
+        ):
+            assert name == cut_name
+            L, L_cut = (_to_field(f(1), p) for f in (lhs, cut_lhs))
+            assert not L_cut[4:, :].any() and not L_cut[:, 4:].any(), name
+            assert np.array_equal(L_cut[:4, :4], L[:4, :4]), name
+            assert not rhs[4:, :].any() and not rhs[:, 4:].any(), name
+            assert np.array_equal(cut_rhs, rhs), name
+            compared += 1
+    assert compared == 9 * 11
 
 
 def test_gluing_lemma_closes_to_sp6(monkeypatch):
@@ -429,7 +452,7 @@ def test_gluing_lemma_closes_to_sp6(monkeypatch):
     monkeypatch.setattr(chain, "_gluing_lemma", lambda: short)
     spec = ChainSpec(n=5, g1=0.1, g2=0.1)
     model = build_chain(spec)
-    assert chain._chain_induction(spec, model, verify_bracket_identities(spec, model=model)) is None
+    assert chain._chain_induction(spec, verify_bracket_identities(spec, model=model)) is None
     assert controllability_report(spec).rank.certificate == "exact_mod_p"
 
 

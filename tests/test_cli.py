@@ -283,6 +283,17 @@ def test_recur_infinite_horizon_is_a_query_error(capsys):
     assert err == "error: recurrence query: max_time must be finite, got inf\n"
 
 
+def test_recur_after_beyond_the_default_horizon_is_a_query_error(capsys):
+    # 1e5 periods past 1e300 round back to 1e300: there is no horizon to scan
+    code, out, err = run_cli(
+        capsys, "recur", "--model", str(MODELS / "single_mode.json"),
+        "--epsilon", "0.1", "--after", "1e300",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: min_time 1e+300 ")
+    assert "--t-max" in err
+
+
 def test_recur_within_the_budget_reports_it_unspent(capsys):
     code, out, _ = run_cli(
         capsys, "recur", "--model", str(MODELS / "incommensurate_pair.json"),
@@ -500,21 +511,6 @@ def test_chain_triple_block_reads_the_one_closure(capsys, flags, ok, message):
     assert (res["passive"] is None) == res["rank_criterion_met"]
 
 
-def test_chain_identities_required_but_impossible(capsys):
-    code, out, err = run_cli(capsys, "chain", "--n", "1", "--identities", "require")
-    assert code == 2
-    assert out == ""
-    assert err == (
-        "error: identity suite needs n >= 3 (long-distance bracket spans three sites), "
-        "got n = 1\n"
-    )
-    code, _, err = run_cli(
-        capsys, "chain", "--n", "3", "--g1", "0", "--g2", "0", "--identities", "require"
-    )
-    assert code == 2
-    assert "nonzero g1" in err
-
-
 @pytest.mark.parametrize(
     "flags", [("--g1", "0", "--g2", "0"), ("--omega1", "0"), ("--chi", "0")]
 )
@@ -677,21 +673,25 @@ def test_chain_beyond_the_closure_limit_exits_two_without_a_report(capsys):
 
 @pytest.mark.parametrize(
     "command,flag",
-    [("rank", "--tol"), ("chain", "--tol"), ("chain", "--identity-tol")],
-    ids=["rank", "chain", "chain-identity-tol"],
+    [
+        ("rank", "--tol"), ("chain", "--tol"), ("chain", "--identity-tol"),
+        ("chain", "--identities"),
+    ],
+    ids=["rank", "chain", "chain-identity-tol", "chain-identities"],
 )
 def test_tol_flag_is_gone_from_rank_and_chain(capsys, command, flag):
-    # the identities are checked exactly over F_p, so no tolerance is left
+    # the identities are checked exactly over F_p, so no tolerance is left;
+    # the report carries them wherever the suite applies, so no switch either
     target = ["--model", str(MODELS / "chain_n3.json")] if command == "rank" else ["--n", "3"]
     code, out, err = run_cli(capsys, command, *target, flag, "1e-12")
     assert (code, out) == (2, "")
     assert f"unrecognized arguments: {flag} 1e-12" in err
 
 
-@pytest.mark.parametrize("flags", [(), ("--identities", "skip")])
+@pytest.mark.parametrize("flags", [(), ("--omega1", "2", "--chi", "0.5")])
 def test_one_chain_call_evaluates_each_identity_window_once(capsys, monkeypatch, flags):
-    # the report's identities are the induction's check on the 3-site
-    # window; only the 2-site window is evaluated besides
+    # the report's identities are the induction's one check, on the 3-site
+    # window, at the spec's own controls; no other window is evaluated
     import oscontrol.chain
 
     table, rows = oscontrol.chain._identity_table, []
@@ -703,9 +703,11 @@ def test_one_chain_call_evaluates_each_identity_window_once(capsys, monkeypatch,
 
     monkeypatch.setattr(oscontrol.chain, "_identity_table", spy)
     code, out, _ = run_cli(capsys, "chain", "--n", "5", *flags)
+    res = report_of(out)["results"]
     assert code == 0
-    assert rows == [12, 11]
-    assert ("identities" in report_of(out)["results"]) is not flags
+    assert rows == [12]
+    assert res["diagnostics"]["closure"]["certificate"] == "chain_induction"
+    assert res["identities"]["all_pass"] is True
 
 
 def test_chain_parameter_vanishing_mod_p_leaves_the_suite_unmet(capsys):
@@ -718,9 +720,6 @@ def test_chain_parameter_vanishing_mod_p_leaves_the_suite_unmet(capsys):
     assert "identities" not in res
     assert (res["verdict"], res["dimension"]) == ("CONTROLLABLE", 36)
     assert res["diagnostics"]["closure"]["certificate"] == "exact_mod_p"
-    code, out, err = run_cli(capsys, *argv, "--identities", "require")
-    assert (code, out) == (2, "")
-    assert "nonzero omega1 mod p = 1048573" in err
 
 
 @pytest.mark.parametrize("g", ["0.05", "0.1", "0.15", "0.2"])
@@ -768,7 +767,7 @@ def test_cached_parser_leaks_nothing_between_calls(capsys):
     argvs = [
         ["chain", "--n", "3", "--h1-only"],
         ["chain", "--n", "3"],
-        ["chain", "--n", "3", "--g2", "0.1", "--identities", "skip"],
+        ["chain", "--n", "3", "--g2", "0.1"],
         ["rank", "--model", str(MODELS / "chain_n3.json"), "--max-rounds", "3"],
         ["chain", "--n", "3"],
         ["rank", "--model", str(MODELS / "chain_n3.json")],

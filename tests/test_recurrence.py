@@ -12,7 +12,6 @@ from oscontrol import (
     QuadraticHamiltonian,
     RecurrenceQuery,
     build_chain,
-    conditioning_bound,
     expm,
     find_recurrence,
     identity_distance,
@@ -70,13 +69,18 @@ def test_mode_distance_is_periodic_for_commensurate_frequencies():
     assert np.allclose(mode_distance(nu, ts + TWO_PI), mode_distance(nu, ts), atol=1e-9)
 
 
+def search_conditioning(H):
+    """The K that find_recurrence filters with, from a short search."""
+    return find_recurrence(RecurrenceQuery(H, epsilon=0.1, max_time=1.0)).conditioning
+
+
 def test_conditioning_bound_identity_single_mode():
-    assert conditioning_bound(QuadraticHamiltonian(1, np.eye(2))) == pytest.approx(2.0, abs=1e-12)
+    assert search_conditioning(QuadraticHamiltonian(1, np.eye(2))) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_conditioning_bound_explicit_two_by_two():
     # V = diag(sqrt(2), 1/sqrt(2)) composed with the unitary pairing
-    K = conditioning_bound(QuadraticHamiltonian(1, np.diag([4.0, 1.0])))
+    K = search_conditioning(QuadraticHamiltonian(1, np.diag([4.0, 1.0])))
     V = np.diag([math.sqrt(2.0), 1.0 / math.sqrt(2.0)])
     U = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / math.sqrt(2.0)
     W = V @ U
@@ -89,7 +93,7 @@ def test_conditioning_bound_matches_pairing_route():
     for i in range(20):
         n = 1 + i % 4
         H = QuadraticHamiltonian(n, random_positive_definite(rng, n, cond=100.0))
-        assert conditioning_bound(H) == pytest.approx(
+        assert search_conditioning(H) == pytest.approx(
             pairing_route_bound(williamson_decompose(H).V), rel=1e-12
         )
 
@@ -99,7 +103,7 @@ def test_conditioning_bound_floor_under_congruence_scaling():
     for _ in range(10):
         n = int(rng.integers(1, 4))
         A = random_positive_definite(rng, n, cond=100.0)
-        assert conditioning_bound(QuadraticHamiltonian(n, A)) >= 2 * n - 1e-9
+        assert search_conditioning(QuadraticHamiltonian(n, A)) >= 2 * n - 1e-9
 
 
 def test_find_recurrence_identity_two_modes():
@@ -162,6 +166,14 @@ def test_recurrence_query_validation():
         RecurrenceQuery(hamiltonian=H, epsilon=0.1, grid_points_per_period=4)
 
 
+def test_a_min_time_the_default_horizon_cannot_pass_is_an_error():
+    # 1e5 periods past 1e300 round back to 1e300; the search must not divide
+    # by the zero-length horizon
+    query = RecurrenceQuery(QuadraticHamiltonian(1, np.eye(2)), epsilon=0.1, min_time=1e300)
+    with pytest.raises(ValueError, match=r"^min_time 1e\+300 .*max_time \(--t-max\)$"):
+        find_recurrence(query)
+
+
 def test_proof_chain_inequality_on_sampled_times():
     rng = np.random.default_rng(23)
     for _ in range(5):
@@ -169,7 +181,7 @@ def test_proof_chain_inequality_on_sampled_times():
         A = random_positive_definite(rng, n, cond=50.0)
         H = QuadraticHamiltonian(n, A)
         nu = symplectic_eigenvalues(H)
-        K = conditioning_bound(H)
+        K = search_conditioning(H)
         G = -A @ symplectic_form(n)
         for t in np.linspace(0.05, 25.0, 40):
             assert identity_distance(expm(G, t)) <= K * mode_distance(nu, t) + 1e-9
