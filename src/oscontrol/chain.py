@@ -458,9 +458,9 @@ class ChainInduction:
     """Full rank of the chain's closure, proved by the paper's induction over F_prime.
 
     It stands where the closure's ``LieSubspace`` would, with the fields the
-    report reads: the dimension is n(2n+1), the algebra is closed, no
-    bracket depth was explored, and it is not passive (the squeeze seed is
-    not). See :func:`_chain_induction` for the proof.
+    report reads: the dimension is n(2n+1), no bracket depth was explored,
+    and it is not passive (the squeeze seed is not). See
+    :func:`_chain_induction` for the proof.
     """
 
     n: int
@@ -468,7 +468,6 @@ class ChainInduction:
 
     certificate: ClassVar[str] = "chain_induction"
     full_rank: ClassVar[bool] = True
-    closed: ClassVar[bool] = True
     bracket_depth_reached: ClassVar[None] = None
     passive: ClassVar[bool] = False
 

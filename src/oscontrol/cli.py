@@ -76,14 +76,13 @@ def _analysis_error(exc: AnalysisError) -> dict:
 def _closure_results(rank) -> dict:
     """The closure's dimension, the rank criterion and how far the brackets went.
 
-    ``rank`` is a ``LieSubspace`` or the chain's ``ChainInduction``, which
-    explores no bracket depth (null).
+    ``rank`` is a ``LieSubspace``, whose closure always runs to the end, or
+    the chain's ``ChainInduction``, which explores no bracket depth (null).
     """
     return {
         "dimension": rank.dimension,
         "dimension_full": full_dimension(rank.n),
         "rank_criterion_met": rank.full_rank,
-        "closed": rank.closed,
         "bracket_depth": rank.bracket_depth_reached,
     }
 
@@ -99,12 +98,11 @@ def _closure_diagnostics(rank) -> dict:
 def cmd_rank(args, report: dict) -> int:
     model_doc = ModelDocument.from_path(args.model)
     model = model_doc.control_model()
-    max_rounds = args.max_rounds if args.max_rounds is not None else 2 * full_dimension(model.n)
     results = _header(
-        report, "rank", file_digest(args.model), {"max_rounds": max_rounds},
+        report, "rank", file_digest(args.model), {},
         {"model": str(args.model), "drift": model_doc.drift, "controls": list(model_doc.controls)},
     )
-    sub = closure([model.drift, *model.controls], max_rounds=max_rounds)
+    sub = closure([model.drift, *model.controls])
     results.update(_closure_results(sub))
     if not sub.full_rank:
         results["passive"] = sub.passive
@@ -139,8 +137,7 @@ def cmd_recur(args, report: dict) -> int:
     name = args.hamiltonian or model_doc.drift
     H = model_doc.hamiltonian(name)
     results = _header(
-        report, "recur", file_digest(args.model),
-        {"epsilon": args.epsilon, "grid_points_per_period": args.grid_points},
+        report, "recur", file_digest(args.model), {"epsilon": args.epsilon},
         {
             "model": str(args.model),
             "hamiltonian": name,
@@ -154,7 +151,6 @@ def cmd_recur(args, report: dict) -> int:
             epsilon=args.epsilon,
             min_time=args.after,
             max_time=args.t_max,
-            grid_points_per_period=args.grid_points,
         )
     except ValueError as exc:
         raise DocumentError(f"recurrence query: {exc}") from exc
@@ -277,8 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="Lie algebra closure and rank criterion")
     p.add_argument("--model", required=True, help="model document (JSON)")
-    p.add_argument("--max-rounds", type=_checked(int, lambda v: v >= 0, ">= 0"), default=None,
-                   help="bracket round budget")
     p.add_argument("--out", default=None, help="report path (default: stdout)")
     p.set_defaults(func=cmd_rank)
 
@@ -296,7 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True, help="target distance to identity")
     p.add_argument("--after", type=float, default=0.0, help="search only tau > this time")
     p.add_argument("--t-max", type=float, default=None, help="search horizon")
-    p.add_argument("--grid-points", type=int, default=16, help="grid points per shortest period")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_recur)
 

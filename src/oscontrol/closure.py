@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import ClassVar, Iterable
 
@@ -90,7 +89,6 @@ class LieSubspace:
     sources: tuple[str, ...]
     pivots: np.ndarray  # (dimension,), coordinate indices
     echelon: np.ndarray  # (dimension, n(2n+1)), residues mod prime
-    closed: bool
     bracket_depth_reached: int
     passive: bool
     candidates: int
@@ -233,9 +231,13 @@ class _Echelon:
 
 
 def _close(
-    seed_A: np.ndarray, seed_names: list[str], p: int, max_rounds: int, passive: bool,
+    seed_A: np.ndarray, seed_names: list[str], p: int, passive: bool,
 ) -> LieSubspace:
-    """The breadth-first closure of the seeds over F_p."""
+    """The breadth-first closure of the seeds over F_p.
+
+    Each round admits at least one element or leaves an empty frontier, so
+    the loop ends within n(2n+1) rounds.
+    """
     k = len(seed_A)
     n = seed_A.shape[-1] // 2
     dim_full = full_dimension(n)
@@ -268,8 +270,7 @@ def _close(
     depth = 0
     start = 0  # index in names of the first frontier element
     # nothing outside sp(2n, R) can appear once the basis is full
-    closed = basis.rank == dim_full or not len(frontier)
-    while not closed and depth < max_rounds:
+    while basis.rank < dim_full and len(frontier):
         next_start = len(names)
         entered = []
         for lo in range(0, len(frontier), chunk):
@@ -285,7 +286,6 @@ def _close(
         frontier = matrices(np.concatenate(entered))
         start = next_start
         depth += 1
-        closed = basis.rank == dim_full or not len(frontier)
 
     pivots, echelon = basis.rows()
     for a in (pivots, echelon):
@@ -296,16 +296,13 @@ def _close(
         sources=tuple(names),
         pivots=pivots,
         echelon=echelon,
-        closed=closed,
         bracket_depth_reached=depth,
         passive=passive,
         candidates=candidates,
     )
 
 
-def closure(
-    seeds: Iterable[QuadraticHamiltonian], max_rounds: int | None = None,
-) -> LieSubspace:
+def closure(seeds: Iterable[QuadraticHamiltonian]) -> LieSubspace:
     """Generate the Lie subalgebra spanned by repeated brackets of the seeds iH.
 
     Each basis element is named after its seed's label (``seed<i>`` when
@@ -313,15 +310,9 @@ def closure(
     over F_p for the first prime of ``PRIMES`` that reaches the larger
     count; see the module docstring for why full rank mod p proves full rank.
 
-    An exhausted round budget is reported as ``closed=False``, not raised.
-    Raises ValueError, before any work, for a ``max_rounds`` that is not a
-    non-negative integer, for an empty or mixed seed set and for n > 127
-    (see :func:`_require_exact_size`).
+    Raises ValueError, before any work, for an empty or mixed seed set and
+    for n > 127 (see :func:`_require_exact_size`).
     """
-    if max_rounds is not None and (
-        not isinstance(max_rounds, numbers.Integral) or max_rounds < 0
-    ):
-        raise ValueError(f"max_rounds must be a non-negative integer, got {max_rounds!r}")
     seeds = list(seeds)
     if not seeds:
         raise ValueError("closure needs at least one seed Hamiltonian")
@@ -329,19 +320,16 @@ def closure(
     if any(H.n != n for H in seeds):
         raise ValueError(f"mixed mode counts in seeds: {sorted({H.n for H in seeds})}")
     _require_exact_size(n)
-    dim_full = full_dimension(n)
-    if max_rounds is None:
-        max_rounds = 2 * dim_full
 
     seed_A = np.array([_symmetric(H) for H in seeds])
     seed_names = [H.label or f"seed{i}" for i, H in enumerate(seeds)]
     omega = symplectic_form(n)
     # u(n) is a subalgebra, and -Omega A Omega permutes and negates entries exactly
     passive = all(np.array_equal(A, -(omega @ A @ omega)) for A in seed_A)
-    bound = n * n if passive else dim_full
+    bound = n * n if passive else full_dimension(n)
     best = None
     for p in PRIMES:
-        sub = _close(seed_A, seed_names, p, max_rounds, passive)
+        sub = _close(seed_A, seed_names, p, passive)
         if best is None or sub.dimension > best.dimension:
             best = sub
         if best.dimension == bound:

@@ -125,7 +125,6 @@ class ModelDocument:
     hamiltonians: dict[str, QuadraticHamiltonian]
     drift: str
     controls: tuple[str, ...]
-    chain: Optional[ChainSpec] = None
 
     @classmethod
     def from_document(cls, data: Any) -> "ModelDocument":
@@ -152,8 +151,7 @@ class ModelDocument:
                 raise _err("chain", str(exc)) from exc
             model = build_chain(spec)
             named = {"H0": model.drift, "H1": model.controls[0], "H2": model.controls[1]}
-            return cls(modes=spec.n, hamiltonians=named, drift="H0",
-                       controls=("H1", "H2"), chain=spec)
+            return cls(modes=spec.n, hamiltonians=named, drift="H0", controls=("H1", "H2"))
 
         n = _as_int(_get(data, "modes", "model"), "modes")
         if n < 1:

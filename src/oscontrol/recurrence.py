@@ -49,7 +49,7 @@ __all__ = [
     "find_recurrence",
 ]
 
-DEFAULT_GRID_POINTS_PER_PERIOD = 16
+_GRID_POINTS_PER_PERIOD = 16
 DEFAULT_HORIZON_PERIODS = 1e5
 # grid points one search may scan: a few seconds even where every grid minimum
 # is a refined candidate; the default horizon of nu_max / nu_min < 10 fits
@@ -101,7 +101,6 @@ class RecurrenceQuery:
     epsilon: float
     min_time: float = 0.0
     max_time: Optional[float] = None
-    grid_points_per_period: int = DEFAULT_GRID_POINTS_PER_PERIOD
 
     def __post_init__(self):
         if not (self.epsilon > 0.0 and np.isfinite(self.epsilon)):
@@ -112,10 +111,6 @@ class RecurrenceQuery:
             raise ValueError(f"max_time {self.max_time} must exceed min_time {self.min_time}")
         if self.max_time is not None and not np.isfinite(self.max_time):
             raise ValueError(f"max_time must be finite, got {self.max_time}")
-        if self.grid_points_per_period < 8:
-            raise ValueError(
-                f"grid_points_per_period must be at least 8, got {self.grid_points_per_period}"
-            )
 
 
 @dataclass(frozen=True)
@@ -193,11 +188,11 @@ def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
     """Locate a recurrence time tau > min_time with distance below epsilon.
 
     mode_distance is scanned on a uniform grid with spacing
-    (2 pi / nu_max) / grid_points_per_period and each local minimum is
-    refined. A refined minimum t* with bound K * d* <= epsilon is an
-    epsilon-recurrence by the bound; one evaluation of the true propagator
-    distance at t* confirms it, and the first confirmed t* is returned as
-    tau with mode_distance_at_tau = d*. When no candidate passed the bound,
+    (2 pi / nu_max) / 16, and each local minimum is refined. A refined
+    minimum t* with bound K * d* <= epsilon is an epsilon-recurrence by the
+    bound; one evaluation of the true propagator distance at t* confirms
+    it, and the first confirmed t* is returned as tau with
+    mode_distance_at_tau = d*. When no candidate passed the bound,
     the refined best grid minimum gets one true-distance evaluation, and a
     distance below epsilon there is returned as found too; a grid with no
     interior minimum offers its last point, and a horizon shorter than one
@@ -211,8 +206,13 @@ def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
     stops there with budget_exhausted set; the fallback evaluation still
     runs on what it saw.
 
-    Raises ValueError, before any scan, when no max_time is given and the
-    default horizon rounds back to min_time, as it does for min_time = 1e300.
+    Raises ValueError, before any scan, when a grid cell at the last time
+    the scan reaches (the horizon's end, or GRID_POINT_BUDGET steps after
+    min_time) is too narrow to refine: twice the step must exceed a few
+    float spacings there. So min_time = 1e16, where the float spacing
+    exceeds the step, is an error, and so is 1e300, where the default
+    horizon rounds back to min_time; min_time = 0 with max_time = 1e16 is
+    not, as the scan stops at its budget long before floating point fails.
     """
     H = query.hamiltonian
     dec = williamson_decompose(H)  # raises DefinitenessError when A is not > 0
@@ -220,16 +220,17 @@ def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
     K = float(np.linalg.norm(dec.V) ** 2)
     G = -np.asarray(H.A) @ symplectic_form(H.n)
 
-    h = (2.0 * math.pi / float(nu[-1])) / query.grid_points_per_period
+    h = (2.0 * math.pi / float(nu[-1])) / _GRID_POINTS_PER_PERIOD
     t_end = query.max_time
     if t_end is None:
         t_end = query.min_time + DEFAULT_HORIZON_PERIODS * (2.0 * math.pi / float(nu[0]))
-    if not t_end - query.min_time > 0:
-        raise ValueError(
-            f"min_time {query.min_time:g} leaves no default horizon after it in floating "
-            f"point; give max_time (--t-max)"
-        )
     h = min(h, t_end - query.min_time)  # a horizon shorter than one step still scans its end
+    t_scan = min(t_end, query.min_time + GRID_POINT_BUDGET * h)  # the last time the scan reaches
+    if not 2.0 * h > _bracket_tol(t_scan, t_scan, xatol=0.0):
+        raise ValueError(
+            f"the grid scan cannot resolve times up to {t_scan:g}: its step of {h:g} after "
+            f"min_time {query.min_time:g} is too fine for floating point to refine there"
+        )
     threshold = query.epsilon / K
 
     nu_modes = tuple(float(v) for v in nu)

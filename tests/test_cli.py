@@ -284,14 +284,26 @@ def test_recur_infinite_horizon_is_a_query_error(capsys):
 
 
 def test_recur_after_beyond_the_default_horizon_is_a_query_error(capsys):
-    # 1e5 periods past 1e300 round back to 1e300: there is no horizon to scan
+    # 1e5 periods past 1e300 round back to 1e300: there is no horizon to scan;
+    # at 1e16 and 1e17 the float spacing (2, 16) exceeds the grid step 2 pi / 16,
+    # where a scan once covered nothing and reported found: false
+    for after in ("1e16", "1e17", "1e300"):
+        code, out, err = run_cli(
+            capsys, "recur", "--model", str(MODELS / "single_mode.json"),
+            "--epsilon", "0.1", "--after", after,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the grid scan cannot resolve times up to ")
+        assert f"after min_time {float(after):g} is too fine for floating point" in err
+    # a horizon past 1e16 is fine where the scan's budget stops it long before
     code, out, err = run_cli(
         capsys, "recur", "--model", str(MODELS / "single_mode.json"),
-        "--epsilon", "0.1", "--after", "1e300",
+        "--epsilon", "0.1", "--after", "0", "--t-max", "1e16",
     )
-    assert (code, out) == (2, "")
-    assert err.startswith("error: min_time 1e+300 ")
-    assert "--t-max" in err
+    assert code == 0
+    report = json.loads(out)["results"]
+    assert report["found"] and report["budget_exhausted"]
+    assert abs(report["tau"] - 2 * math.pi) < 1e-9
 
 
 def test_recur_within_the_budget_reports_it_unspent(capsys):
@@ -535,12 +547,9 @@ def test_chain_invalid_flags_exit_two(capsys):
          "argument --tol: must be finite and >= 0, got -1"),
         (("williamson", "--model", "chain_n3.json", "--tol", "nan"),
          "argument --tol: must be finite and >= 0, got nan"),
-        (("rank", "--model", "chain_n3.json", "--max-rounds", "-1"),
-         "argument --max-rounds: must be >= 0, got -1"),
         (("chain", "--n", "3", "--alpha", "nan"), "error: alpha must be finite, got nan"),
     ],
-    ids=["williamson-tol-negative", "williamson-tol-nan", "rank-max-rounds-negative",
-         "chain-alpha-nan"],
+    ids=["williamson-tol-negative", "williamson-tol-nan", "chain-alpha-nan"],
 )
 def test_bad_numeric_flags_exit_two_before_analysis(capsys, monkeypatch, argv, message):
     # each of these once ran the analysis: exit 1 as a numerical failure,
@@ -638,8 +647,8 @@ def test_closure_certificate_in_chain_and_rank_reports(capsys):
         }
         assert 21 < certificate["candidates"] <= 3 + 3 * 21
         assert "residual_spectrum" not in report["results"]
-    assert chain_report["tolerances"] == {}
-    assert rank_report["tolerances"] == {"max_rounds": 42}
+    assert chain_report["tolerances"] == rank_report["tolerances"] == {}
+    assert "closed" not in rank_report["results"]
 
 
 @pytest.mark.parametrize("n", [3, 100])
@@ -659,7 +668,8 @@ def test_chain_induction_certificate_in_chain_report(capsys, monkeypatch, n):
     assert builds == [n]
     assert res["verdict"] == "CONTROLLABLE"
     assert res["dimension"] == res["dimension_full"] == n * (2 * n + 1)
-    assert (res["rank_criterion_met"], res["closed"], res["bracket_depth"]) == (True, True, None)
+    assert (res["rank_criterion_met"], res["bracket_depth"]) == (True, None)
+    assert "closed" not in res
     assert res["diagnostics"] == {"closure": {"certificate": "chain_induction", "prime": 1048573}}
     assert res["triple"]["closure_dimension"] == res["dimension"]
     assert res["identities"]["all_pass"] is True
@@ -675,14 +685,20 @@ def test_chain_beyond_the_closure_limit_exits_two_without_a_report(capsys):
     "command,flag",
     [
         ("rank", "--tol"), ("chain", "--tol"), ("chain", "--identity-tol"),
-        ("chain", "--identities"),
+        ("chain", "--identities"), ("rank", "--max-rounds"), ("recur", "--grid-points"),
     ],
-    ids=["rank", "chain", "chain-identity-tol", "chain-identities"],
+    ids=["rank", "chain", "chain-identity-tol", "chain-identities", "rank-max-rounds",
+         "recur-grid-points"],
 )
 def test_tol_flag_is_gone_from_rank_and_chain(capsys, command, flag):
     # the identities are checked exactly over F_p, so no tolerance is left;
-    # the report carries them wherever the suite applies, so no switch either
-    target = ["--model", str(MODELS / "chain_n3.json")] if command == "rank" else ["--n", "3"]
+    # the report carries them wherever the suite applies, so no switch either;
+    # the closure always runs to the end, and the recurrence grid is fixed
+    target = {
+        "rank": ["--model", str(MODELS / "chain_n3.json")],
+        "chain": ["--n", "3"],
+        "recur": ["--model", str(MODELS / "single_mode.json"), "--epsilon", "0.1"],
+    }[command]
     code, out, err = run_cli(capsys, command, *target, flag, "1e-12")
     assert (code, out) == (2, "")
     assert f"unrecognized arguments: {flag} 1e-12" in err
@@ -768,9 +784,9 @@ def test_cached_parser_leaks_nothing_between_calls(capsys):
         ["chain", "--n", "3", "--h1-only"],
         ["chain", "--n", "3"],
         ["chain", "--n", "3", "--g2", "0.1"],
-        ["rank", "--model", str(MODELS / "chain_n3.json"), "--max-rounds", "3"],
+        ["williamson", "--model", str(MODELS / "chain_n3.json"), "--tol", "1e-6"],
         ["chain", "--n", "3"],
-        ["rank", "--model", str(MODELS / "chain_n3.json")],
+        ["williamson", "--model", str(MODELS / "chain_n3.json")],
     ]
     in_sequence = [run_cli(capsys, *argv) for argv in argvs]
     assert _build_parser() is _build_parser()
@@ -781,8 +797,8 @@ def test_cached_parser_leaks_nothing_between_calls(capsys):
         assert _without_wall_time(out) == _without_wall_time(alone_out)
     assert report_of(in_sequence[0][1])["inputs"]["h1_only"] is True
     assert report_of(in_sequence[1][1])["inputs"]["h1_only"] is False
-    assert report_of(in_sequence[3][1])["tolerances"]["max_rounds"] == 3
-    assert report_of(in_sequence[5][1])["tolerances"]["max_rounds"] == 42
+    assert report_of(in_sequence[3][1])["tolerances"]["residual_tol"] == 1e-6
+    assert report_of(in_sequence[5][1])["tolerances"]["residual_tol"] == 1e-8
 
 
 def test_evolve_reports_deterministic_across_calls_and_blas_threads(capsys, tmp_path):

@@ -33,14 +33,15 @@ def _explicit_doc():
 
 
 def test_chain_shorthand_matches_builder():
-    doc = ModelDocument.from_document(_chain_doc())
-    model = build_chain(ChainSpec(n=3, omega=1.0, g1=0.2, g2=0.2))
+    # no field is at its default, so each one must reach the builder
+    fields = {"n": 3, "omega": 1.5, "g1": 0.1, "g2": 0.3, "omega1": 2.0, "chi": 0.5}
+    doc = ModelDocument.from_document({"chain": fields})
+    model = build_chain(ChainSpec(**fields))
     assert np.array_equal(doc.hamiltonians["H0"].A, model.drift.A)
     assert np.array_equal(doc.hamiltonians["H1"].A, model.controls[0].A)
     assert np.array_equal(doc.hamiltonians["H2"].A, model.controls[1].A)
     assert doc.drift == "H0"
     assert doc.controls == ("H1", "H2")
-    assert doc.chain == ChainSpec(n=3, omega=1.0, g1=0.2, g2=0.2, omega1=1.0, chi=1.0)
 
 
 def test_explicit_terms_match_builder():

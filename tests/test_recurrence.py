@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -136,7 +137,7 @@ def test_find_recurrence_commensurate_lands_on_common_period():
     H = QuadraticHamiltonian(2, A)
     q = RecurrenceQuery(hamiltonian=H, epsilon=0.05, min_time=1.0)
     result = find_recurrence(q)
-    grid_cell = (TWO_PI / 1.5) / q.grid_points_per_period
+    grid_cell = (TWO_PI / 1.5) / 16
     assert result.found
     assert abs(result.tau - 2.0 * TWO_PI) <= grid_cell
 
@@ -162,16 +163,30 @@ def test_recurrence_query_validation():
         RecurrenceQuery(hamiltonian=H, epsilon=0.1, min_time=-1.0)
     with pytest.raises(ValueError):
         RecurrenceQuery(hamiltonian=H, epsilon=0.1, min_time=5.0, max_time=4.0)
-    with pytest.raises(ValueError):
-        RecurrenceQuery(hamiltonian=H, epsilon=0.1, grid_points_per_period=4)
 
 
 def test_a_min_time_the_default_horizon_cannot_pass_is_an_error():
     # 1e5 periods past 1e300 round back to 1e300; the search must not divide
-    # by the zero-length horizon
-    query = RecurrenceQuery(QuadraticHamiltonian(1, np.eye(2)), epsilon=0.1, min_time=1e300)
-    with pytest.raises(ValueError, match=r"^min_time 1e\+300 .*max_time \(--t-max\)$"):
-        find_recurrence(query)
+    # by the zero-length horizon. At 1e16 and 1e17 the float spacing (2, 16)
+    # exceeds the grid step 2 pi / 16, and past 1e300 an explicit max_time
+    # leaves a horizon of copies of one float: no grid cell can be refined
+    H = QuadraticHamiltonian(1, np.eye(2))
+    for min_time, max_time in ((1e16, None), (1e17, None), (1e300, None), (1e300, 2e300)):
+        query = RecurrenceQuery(H, epsilon=0.1, min_time=min_time, max_time=max_time)
+        message = f"after min_time {min_time:g} is too fine for floating point"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            find_recurrence(query)
+    # below the limit, a return is still found: the spacing at 1e13 is 2e-3
+    result = find_recurrence(RecurrenceQuery(H, epsilon=0.1, min_time=1e13))
+    assert result.found and result.tau > 1e13
+    # the check applies where the scan stops, at its budget of grid points,
+    # not at a horizon end it never reaches
+    result = find_recurrence(RecurrenceQuery(H, epsilon=0.1, max_time=1e16))
+    assert result.found and result.budget_exhausted
+    assert abs(result.tau - 2 * math.pi) < 1e-9
+    # a horizon below the refine's absolute tolerance is still scanned
+    result = find_recurrence(RecurrenceQuery(H, epsilon=0.1, max_time=1e-13))
+    assert not result.found and math.isfinite(result.best_distance_seen)
 
 
 def test_proof_chain_inequality_on_sampled_times():
@@ -348,7 +363,7 @@ def test_refine_does_not_count_as_grid_points(monkeypatch):
     result = find_recurrence(query)
     assert result.found
     assert result.tau == pytest.approx(TWO_PI, abs=1e-6)
-    h = TWO_PI / query.grid_points_per_period
+    h = TWO_PI / 16
     n_points = math.floor((10.0 - 1.0) / h)
     assert sizes == [n_points]
     # a horizon of two grid points is scanned point by point, once
