@@ -13,7 +13,7 @@ import argparse
 import itertools
 import time
 
-from oscontrol import ChainSpec, TripleParams, controllability_report, full_dimension
+from oscontrol import ChainSpec, controllability_report, full_dimension
 
 
 def main():
@@ -29,7 +29,7 @@ def main():
     for n, g in itertools.product(args.n, args.couplings):
         spec = ChainSpec(n=n, omega=args.omega, g1=g, g2=g)
         started = time.perf_counter()
-        rep = controllability_report(spec, TripleParams())
+        rep = controllability_report(spec)
         elapsed = time.perf_counter() - started
         pos = f"{'y' if rep.positivity.sufficient else 'n'}/{'y' if rep.positivity.actual else 'n'}"
         print(

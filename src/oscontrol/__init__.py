@@ -64,7 +64,6 @@ from .chain import (
     ControllabilityReport,
     IdentityReport,
     PositivityCheck,
-    TripleParams,
     build_chain,
     controllability_report,
     verify_bracket_identities,
@@ -92,7 +91,7 @@ __all__ = [
     "ControlModel", "ControlSchedule", "CovarianceState",
     "propagate", "evolve_covariance",
     # chain
-    "ChainSpec", "TripleParams", "PositivityCheck", "IdentityReport",
+    "ChainSpec", "PositivityCheck", "IdentityReport",
     "ChainInduction", "ControllabilityReport", "build_chain", "verify_bracket_identities",
     "controllability_report",
     # documents

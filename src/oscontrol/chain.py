@@ -7,7 +7,7 @@ term on site 1 only. This module builds that model, machine-checks the
 bracket-identity chain that generates the full symplectic algebra from the
 local controls, and assembles the whole pipeline into a controllability
 verdict: ``controllability_report`` is the one place that decides the drift's
-definiteness and the positive-definite generating triple.
+definiteness, and with it the positive-definite generating triple.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .williamson import _positive_definite
 
 __all__ = [
     "ChainSpec",
-    "TripleParams",
     "PositivityCheck",
     "IdentityRecord",
     "IdentityReport",
@@ -42,15 +41,6 @@ __all__ = [
     "controllability_report",
     "IDENTITY_NAMES",
 ]
-
-
-def _set_finite(obj, names) -> None:
-    """Store each named field of a frozen dataclass as a float, rejecting non-finite values."""
-    for name in names:
-        v = float(getattr(obj, name))
-        if not np.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
-        object.__setattr__(obj, name, v)
 
 
 @dataclass(frozen=True)
@@ -73,7 +63,11 @@ class ChainSpec:
         if int(self.n) != self.n or self.n < 1:
             raise ValueError(f"chain length must be a positive integer, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
-        _set_finite(self, ("omega", "g1", "g2", "omega1", "chi"))
+        for name in ("omega", "g1", "g2", "omega1", "chi"):
+            v = float(getattr(self, name))
+            if not np.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
+            object.__setattr__(self, name, v)
         if self.omega <= 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
 
@@ -119,51 +113,24 @@ class PositivityCheck(NamedTuple):
     min_eigenvalue: float
 
 
-@dataclass(frozen=True)
-class TripleParams:
-    """Mixing weights for the positive-definite generating triple."""
+def _triple_message(spec: ChainSpec, drift_eigenvalues: np.ndarray) -> Optional[str]:
+    """Why the triple {H0, H0 + N_1, H0 + N_1 + S_1 / 2} fails, or None.
 
-    alpha: float = 1.0
-    beta: float = 1.0
-    delta: float = 0.5
-
-    def __post_init__(self):
-        _set_finite(self, ("alpha", "beta", "delta"))
-
-
-def _triple_message(
-    spec: ChainSpec, params: TripleParams, model: ControlModel, drift_eigenvalues: np.ndarray,
-) -> Optional[str]:
-    """Why the triple {H0, H0 + alpha H1, H0 + beta H1 + delta H2} fails, or None.
-
-    The constraints alpha omega1 > 0 and 0 < delta chi < beta omega1 are
-    necessary design constraints, not a definiteness proof, so each member
-    T0, T1, T2 is also checked positive definite. T0 is the drift, whose
-    spectrum the caller already has.
+    N_1 = H1 / omega1 and S_1 = H2 / chi are the unit rotation and squeeze on
+    site 1. T1 - T0 = N_1 is the identity on site 1 and T2 - T0 = N_1 + S_1 / 2
+    is diag(2, 0) there, both positive semidefinite, so in the Loewner order
+    T2 >= T0 and T1 >= T0: T0 > 0 makes every member positive definite, and
+    the drift's one spectrum decides the triple. The triple spans
+    span{H0, H1, H2} when omega1 and chi are nonzero.
     """
-    if not params.alpha * spec.omega1 > 0:
+    for name, control in (("omega1", "H1"), ("chi", "H2")):
+        if getattr(spec, name) == 0:
+            return f"triple not formed: {name} = 0, so the control {control} vanishes"
+    if not _positive_definite(drift_eigenvalues):
         return (
-            f"triple constraint violated: alpha * omega1 = "
-            f"{params.alpha * spec.omega1:g} must be positive"
+            f"triple member T0 is not positive definite: "
+            f"smallest eigenvalue {drift_eigenvalues[0]:.6e}"
         )
-    if not 0 < params.delta * spec.chi < params.beta * spec.omega1:
-        return (
-            f"triple constraint violated: need 0 < delta * chi < beta * omega1, "
-            f"got delta * chi = {params.delta * spec.chi:g}, "
-            f"beta * omega1 = {params.beta * spec.omega1:g}"
-        )
-    H0, H1, H2 = (H.A for H in (model.drift, *model.controls))
-    for label, A in (
-        ("T0", None),
-        ("T1", H0 + params.alpha * H1),
-        ("T2", H0 + params.beta * H1 + params.delta * H2),
-    ):
-        w = drift_eigenvalues if A is None else np.linalg.eigvalsh(A)
-        if not _positive_definite(w):
-            return (
-                f"triple member {label} is not positive definite: "
-                f"smallest eigenvalue {w[0]:.6e}"
-            )
     return None
 
 
@@ -575,18 +542,18 @@ class ControllabilityReport:
     None. The induction certificate reads the same report.
 
     CONTROLLABLE: rank criterion met (``rank.full_rank``) and the
-    generating triple validated positive definite (``triple_message`` is
-    None). ``positivity.actual`` and triple member T0 are the same decision:
-    the drift's spectrum under ``williamson``'s one definiteness rule. The
-    triple's closure is not recomputed: the triple is an invertible
-    recombination of {H0, H1, H2} and a Lie closure depends only on the span
-    of its seeds, so it equals the seeds' closure. RANK_ONLY: rank met but
-    no triple validated; ``triple_message`` says why. NOT_ESTABLISHED: rank
-    not met.
+    generating triple {H0, H0 + N_1, H0 + N_1 + S_1 / 2} positive definite
+    (``triple_message`` is None). ``positivity.actual`` and the triple are
+    the same decision: the drift's spectrum under ``williamson``'s one
+    definiteness rule, since T0 = H0 bounds the other members from below
+    (:func:`_triple_message`). The triple's closure is not recomputed: the
+    triple is an invertible recombination of {H0, H1, H2} and a Lie closure
+    depends only on the span of its seeds, so it equals the seeds' closure.
+    RANK_ONLY: rank met but no triple validated; ``triple_message`` says
+    why. NOT_ESTABLISHED: rank not met.
     """
 
     spec: ChainSpec
-    triple_params: TripleParams
     model: ControlModel
     rank: Union[ChainInduction, LieSubspace]
     identities: Optional[IdentityReport]
@@ -596,16 +563,15 @@ class ControllabilityReport:
 
 
 def controllability_report(
-    spec: ChainSpec,
-    params: TripleParams = TripleParams(),
-    include_squeeze_control: bool = True,
+    spec: ChainSpec, include_squeeze_control: bool = True,
 ) -> ControllabilityReport:
     """Run the whole pipeline: build, rank, positivity, triple, verdict.
 
     The rank comes from the chain's induction certificate where it applies
     (:func:`_chain_induction`), else from the exact closure. This is the one
     place the drift's definiteness and the triple are decided, both by
-    ``williamson``'s rule on the drift's one spectrum.
+    ``williamson``'s rule on the drift's one spectrum, the one eigensolve
+    of the report.
 
     ``include_squeeze_control=False`` restricts the controls to the local
     rotation only, the regime where the reachable set stays passive.
@@ -622,7 +588,7 @@ def controllability_report(
     if rank is None:
         controls = model.controls if include_squeeze_control else model.controls[:1]
         rank = closure([model.drift, *controls])
-    # one spectrum and one rule decide both positivity.actual and member T0
+    # one spectrum and one rule decide both positivity.actual and the triple
     drift_eigenvalues = np.linalg.eigvalsh(model.drift.A)
     g1, g2 = spec.g1 / spec.omega, spec.g2 / spec.omega
     positivity = PositivityCheck(
@@ -631,7 +597,7 @@ def controllability_report(
         min_eigenvalue=float(drift_eigenvalues[0]),
     )
     if include_squeeze_control:
-        triple_message = _triple_message(spec, params, model, drift_eigenvalues)
+        triple_message = _triple_message(spec, drift_eigenvalues)
     else:
         triple_message = "triple not attempted: squeeze control excluded"
 
@@ -644,7 +610,6 @@ def controllability_report(
 
     return ControllabilityReport(
         spec=spec,
-        triple_params=params,
         model=model,
         rank=rank,
         identities=identities,

@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .chain import VERDICT_CONTROLLABLE, ChainSpec, TripleParams, controllability_report
+from .chain import VERDICT_CONTROLLABLE, ChainSpec, controllability_report
 from .closure import LieSubspace, closure, full_dimension
 from .documents import (
     DocumentError,
@@ -204,15 +204,13 @@ def cmd_chain(args, report: dict) -> int:
         n=args.n, omega=args.omega, g1=args.g1, g2=args.g2,
         omega1=args.omega1, chi=args.chi,
     )
-    params = TripleParams(alpha=args.alpha, beta=args.beta, delta=args.delta)
     echo = {
         "n": spec.n, "omega": spec.omega, "g1": spec.g1, "g2": spec.g2,
         "omega1": spec.omega1, "chi": spec.chi,
-        "alpha": params.alpha, "beta": params.beta, "delta": params.delta,
         "h1_only": bool(args.h1_only),
     }
     results = _header(report, "chain", data_digest(echo), {}, echo)
-    rep = controllability_report(spec, params, include_squeeze_control=not args.h1_only)
+    rep = controllability_report(spec, include_squeeze_control=not args.h1_only)
     rank = rep.rank
     triple_ok = rep.triple_message is None
     results.update(
@@ -306,9 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g2", type=float, default=0.2)
     p.add_argument("--omega1", type=float, default=1.0)
     p.add_argument("--chi", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--delta", type=float, default=0.5)
     p.add_argument(
         "--h1-only", action="store_true",
         help="restrict controls to the local phase rotation (passive regime)",

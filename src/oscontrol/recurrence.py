@@ -188,14 +188,16 @@ def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
     """Locate a recurrence time tau > min_time with distance below epsilon.
 
     mode_distance is scanned on a uniform grid with spacing
-    (2 pi / nu_max) / 16, and each local minimum is refined. A refined
+    (2 pi / nu_max) / 16 at every grid point up to max_time, and each local
+    minimum is refined; the last grid point counts as a minimum where the
+    distance still falls there, its bracket clipped at max_time. A refined
     minimum t* with bound K * d* <= epsilon is an epsilon-recurrence by the
     bound; one evaluation of the true propagator distance at t* confirms
     it, and the first confirmed t* is returned as tau with
     mode_distance_at_tau = d*. When no candidate passed the bound,
     the refined best grid minimum gets one true-distance evaluation, and a
     distance below epsilon there is returned as found too; a grid with no
-    interior minimum offers its last point, and a horizon shorter than one
+    minimum offers its last point, and a horizon shorter than one
     grid step is scanned with one step that ends on it. Refines stay inside
     [min_time, max_time], so tau never passes the horizon. A refine that
     ends on the lower end of its bracket found the distance rising there,
@@ -242,9 +244,9 @@ def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
     def true_distance(t: float) -> float:
         return identity_distance(expm(G, t))
 
-    n_points = int(math.floor((t_end - query.min_time) / h))
-    budget_exhausted = n_points > GRID_POINT_BUDGET
-    n_points = min(n_points, GRID_POINT_BUDGET)
+    n_points = int(math.floor((t_end - query.min_time) / h))  # grid index of the horizon's end
+    last = min(n_points, GRID_POINT_BUDGET - 1)  # the last grid index scanned
+    budget_exhausted = n_points > last
     best_true = math.inf
     best_grid: Optional[tuple[float, float]] = None  # lowest unrefined grid minimum
 
@@ -290,23 +292,25 @@ def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
             start, size = start + size, 2 * size
         return None
 
-    if 1 <= n_points <= 2:
-        ts = query.min_time + np.arange(1, n_points + 1) * h
+    if last <= 2:
+        ts = query.min_time + np.arange(1, last + 1) * h
         d = mode_distance(nu, ts)
         k_best = int(np.argmin(d))
         best_grid = (float(ts[k_best]), float(d[k_best]))
         hit = consider(ts)
         if hit is not None:
             return hit
-    elif n_points > 2:
-        # chunked scan with one-point overlap so interior minima at chunk
-        # boundaries are not missed
+    else:
+        # chunks of grid indices 0..last, each centre with its neighbours, so
+        # minima at chunk boundaries are not missed; past the last point the
+        # distance counts as infinite, so it is a candidate where it still falls
         j = 1
-        while j <= n_points - 1:
-            j_hi = min(j + _CHUNK, n_points - 1)
-            idx = np.arange(j - 1, j_hi + 1)  # one lookback, one lookahead
-            ts = query.min_time + idx * h
+        while j <= last:
+            j_hi = min(j + _CHUNK - 1, last)  # the chunk's centres are j..j_hi
+            ts = query.min_time + np.arange(j - 1, min(j_hi + 1, last) + 1) * h
             d = mode_distance(nu, ts)
+            if j_hi == last:
+                d = np.append(d, np.inf)
             interior = np.nonzero((d[1:-1] <= d[:-2]) & (d[1:-1] <= d[2:]))[0] + 1
             if interior.size:
                 k_best = int(interior[np.argmin(d[interior])])
@@ -317,12 +321,13 @@ def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
                     return hit
             j = j_hi + 1
 
-    if best_grid is None and n_points > 2:
-        # no interior grid minimum: offer the last grid point, never min_time
-        t_last = query.min_time + n_points * h
-        best_grid = (t_last, float(_mode_distance(nu_modes, np.array([t_last]))[0]))
+        if best_grid is None:
+            # no grid minimum: the distance rises to the end; offer the last
+            # grid point for an honest distance, never min_time
+            t_last = query.min_time + last * h
+            best_grid = (t_last, float(_mode_distance(nu_modes, np.array([t_last]))[0]))
 
-    if not math.isfinite(best_true) and best_grid is not None:
+    if not math.isfinite(best_true):
         # report an honest true distance at the best bound seen; the bound
         # is loose by up to K, so that distance may itself be below epsilon
         t_star, d_star, returns = (x[0].item() for x in refine(np.array([best_grid[0]])))

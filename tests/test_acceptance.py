@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
 per criterion.
 """
 
+import itertools
 import math
 import time
 
@@ -16,7 +17,6 @@ from oscontrol import (
     CovarianceState,
     QuadraticHamiltonian,
     RecurrenceQuery,
-    TripleParams,
     audit_symplecticity,
     build_chain,
     closure,
@@ -182,39 +182,28 @@ def test_criterion_6_free_particle_never_recurs():
 
 
 def test_criterion_7_positive_triple():
-    params = TripleParams(alpha=1.0, beta=1.0, delta=0.5)
-    dims_match = True
-    for n in (2, 3, 4):
-        spec = ChainSpec(n=n, omega=1.0, g1=0.2, g2=0.2)
-        rep = controllability_report(spec, params)
+    # the fixed triple {H0, H0 + N_1, H0 + N_1 + S_1 / 2}, N_1 = H1 / omega1 and
+    # S_1 = H2 / chi, at the canonical controls and at controls of other signs
+    checked = 0
+    for n, omega1, chi in itertools.product((2, 3, 4), (1.0, -0.5), (1.0, 3.0)):
+        spec = ChainSpec(n=n, omega=1.0, g1=0.2, g2=0.2, omega1=omega1, chi=chi)
+        rep = controllability_report(spec)
         assert rep.triple_message is None and rep.positivity.actual
+        assert rep.verdict == "CONTROLLABLE"
         # the triple members, built here: each positive definite, and their
         # closure is the raw controls' closure that the report decided on
         model = build_chain(spec)
         H0, H1, H2 = (H.A for H in (model.drift, *model.controls))
-        triple = [H0, H0 + params.alpha * H1, H0 + params.beta * H1 + params.delta * H2]
+        N1, S1 = H1 / omega1, H2 / chi
+        triple = [H0, H0 + N1, H0 + N1 + S1 / 2]
         assert all(np.linalg.eigvalsh(A)[0] > 0.0 for A in triple)
         mixed = closure([QuadraticHamiltonian(n, A) for A in triple])
-        dims_match = dims_match and rep.rank.dimension == mixed.dimension
-
-    spec = ChainSpec(n=2, omega=1.0, g1=0.2, g2=0.2)
-    rejected = 0
-    for bad in (
-        TripleParams(alpha=-1.0, beta=1.0, delta=0.5),   # alpha * omega1 <= 0
-        TripleParams(alpha=0.0, beta=1.0, delta=0.5),    # alpha * omega1 <= 0
-        TripleParams(alpha=1.0, beta=1.0, delta=3.0),    # delta * chi >= beta * omega1
-        TripleParams(alpha=1.0, beta=1.0, delta=-0.1),   # delta * chi <= 0
-        TripleParams(alpha=1.0, beta=-1.0, delta=0.5),   # beta * omega1 below delta * chi
-    ):
-        rep = controllability_report(spec, bad)
-        assert rep.triple_message.startswith("triple constraint violated")
-        assert rep.verdict == "RANK_ONLY"
-        rejected += 1
-    ok = dims_match and rejected == 5
+        assert rep.rank.dimension == mixed.dimension == full_dimension(n)
+        checked += 1
     _criterion(
-        7, ok,
-        f"canonical triple positive definite with matching closure dimension for n = 2..4; "
-        f"{rejected}/5 constraint violations rejected",
+        7, checked == 12,
+        f"fixed triple positive definite, closure dimension n(2n+1), for {checked}/12 "
+        f"chains (n = 2..4, omega1 in (1, -0.5), chi in (1, 3))",
     )
 
 

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from oscontrol import (
     ControlModel,
     LieSubspace,
     QuadraticHamiltonian,
-    TripleParams,
     build_chain,
     closure,
     controllability_report,
@@ -72,11 +72,13 @@ def _pd(A):
     return w[0] > 1e-10 * max(abs(w[0]), abs(w[-1]))
 
 
-def _members(spec, params):
-    # the triple {H0, H0 + alpha H1, H0 + beta H1 + delta H2}, built here as the oracle
+def _members(spec):
+    # the triple {H0, H0 + N_1, H0 + N_1 + S_1 / 2}, N_1 = H1 / omega1 and
+    # S_1 = H2 / chi, built here as the oracle
     model = build_chain(spec)
     H0, H1, H2 = (H.A for H in (model.drift, *model.controls))
-    return [H0, H0 + params.alpha * H1, H0 + params.beta * H1 + params.delta * H2]
+    N1, S1 = H1 / spec.omega1, H2 / spec.chi
+    return [H0, H0 + N1, H0 + N1 + S1 / 2]
 
 
 def test_positivity_condition_canonical():
@@ -122,64 +124,69 @@ def test_positivity_and_triple_agree_in_the_gray_zone():
 
 def test_positive_triple_canonical_fixture():
     spec = ChainSpec(n=2, omega=1.0, g1=0.2, g2=0.2)
-    params = TripleParams(alpha=1.0, beta=1.0, delta=0.5)
-    rep = controllability_report(spec, params)
+    rep = controllability_report(spec)
     assert rep.triple_message is None
     assert rep.verdict == "CONTROLLABLE"
-    for A in _members(spec, params):
+    for A in _members(spec):
         assert np.linalg.eigvalsh(A)[0] > 0.0
-
-
-def test_positive_triple_rejects_alpha_sign():
-    rep = controllability_report(CANONICAL, TripleParams(alpha=-1.0, beta=1.0, delta=0.5))
-    assert "alpha" in rep.triple_message
-    assert rep.verdict == "RANK_ONLY"
-
-
-def test_positive_triple_rejects_delta_bound():
-    for delta in (3.0, -0.5):
-        rep = controllability_report(CANONICAL, TripleParams(alpha=1.0, beta=1.0, delta=delta))
-        assert "delta" in rep.triple_message
-        assert rep.verdict == "RANK_ONLY"
 
 
 def test_positive_triple_reports_indefinite_member():
     # drift itself is indefinite at strong coupling, so T0 must be rejected
     spec = ChainSpec(n=3, omega=1.0, g1=0.4, g2=0.4)
     rep = controllability_report(spec)
-    assert not _pd(_members(spec, TripleParams())[0])
+    assert not _pd(_members(spec)[0])
     assert not rep.positivity.actual
     assert rep.triple_message.startswith("triple member T0 is not positive definite")
 
 
-def test_positive_triple_rejects_indefinite_t2():
-    # delta chi = 9.9 < beta omega1 = 10 meets the constraints, but pulls the
-    # site-1 p-p entry of T2 to 1 + 10 - 19.8 < 0 while T0 and T1 stay positive
-    params = TripleParams(alpha=1.0, beta=10.0, delta=9.9)
-    T0, T1, T2 = _members(CANONICAL, params)
-    assert _pd(T0) and _pd(T1) and not _pd(T2)
-    rep = controllability_report(CANONICAL, params)
-    assert rep.positivity.actual
-    assert rep.triple_message == (
-        "triple member T2 is not positive definite: smallest eigenvalue "
-        f"{np.linalg.eigvalsh(T2)[0]:.6e}"
-    )
-    assert rep.verdict == "RANK_ONLY"
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+def test_triple_verdict_matches_independent_member_check(n):
+    # signs included: the triple is decided for every nonzero omega1 and chi,
+    # CONTROLLABLE exactly when the rank is full and every member, built and
+    # eigensolved here, is positive definite
+    seen = set()
+    for g, omega1, chi in itertools.product(
+        (0.05, 0.2, 0.3, 0.45), (-2.0, -0.5, 0.2, 1.0, 2.0), (-3.0, -1.0, 0.5, 1.0, 3.0)
+    ):
+        spec = ChainSpec(n=n, omega=1.0, g1=g, g2=g, omega1=omega1, chi=chi)
+        rep = controllability_report(spec)
+        members_pd = all(_pd(A) for A in _members(spec))
+        assert (rep.verdict == "CONTROLLABLE") == (rep.rank.full_rank and members_pd), spec
+        assert (rep.triple_message is None) == members_pd, spec
+        seen.add(rep.verdict)
+    assert "CONTROLLABLE" in seen
 
 
-def test_triple_params_must_be_finite():
-    for name in ("alpha", "beta", "delta"):
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
-            TripleParams(**{name: np.nan})
-    assert TripleParams(alpha=2).alpha == 2.0
+def test_vanishing_control_names_its_parameter():
+    for name in ("omega1", "chi"):
+        rep = controllability_report(replace(CANONICAL, **{name: 0.0}))
+        assert f"{name} = 0" in rep.triple_message
+        assert rep.verdict in ("RANK_ONLY", "NOT_ESTABLISHED")
+
+
+def test_one_report_makes_one_eigensolve(monkeypatch):
+    # the drift's spectrum decides positivity and the whole triple
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counted(A, *args, **kwargs):
+        calls.append(np.shape(A))
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for spec in (CANONICAL, replace(CANONICAL, omega1=-2.0, chi=3.0), replace(CANONICAL, g1=0.4)):
+        calls.clear()
+        controllability_report(spec)
+        assert calls == [(6, 6)]
 
 
 def test_positive_triple_closure_matches_raw_controls():
     # the verdict reuses the raw closure: the triple is an invertible
     # recombination of {H0, H1, H2}, so its own closure has the same dimension
-    spec = ChainSpec(n=2, omega=1.0, g1=0.2, g2=0.2)
+    spec = ChainSpec(n=2, omega=1.0, g1=0.2, g2=0.2, omega1=-0.5, chi=3.0)
     rep = controllability_report(spec)
-    mixed = closure([QuadraticHamiltonian(2, A) for A in _members(spec, TripleParams())])
+    mixed = closure([QuadraticHamiltonian(2, A) for A in _members(spec)])
     assert rep.triple_message is None
     assert rep.rank.dimension == mixed.dimension == full_dimension(2)
 

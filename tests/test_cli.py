@@ -547,9 +547,9 @@ def test_chain_invalid_flags_exit_two(capsys):
          "argument --tol: must be finite and >= 0, got -1"),
         (("williamson", "--model", "chain_n3.json", "--tol", "nan"),
          "argument --tol: must be finite and >= 0, got nan"),
-        (("chain", "--n", "3", "--alpha", "nan"), "error: alpha must be finite, got nan"),
+        (("chain", "--n", "3", "--omega1", "nan"), "error: omega1 must be finite, got nan"),
     ],
-    ids=["williamson-tol-negative", "williamson-tol-nan", "chain-alpha-nan"],
+    ids=["williamson-tol-negative", "williamson-tol-nan", "chain-omega1-nan"],
 )
 def test_bad_numeric_flags_exit_two_before_analysis(capsys, monkeypatch, argv, message):
     # each of these once ran the analysis: exit 1 as a numerical failure,
@@ -561,6 +561,29 @@ def test_bad_numeric_flags_exit_two_before_analysis(capsys, monkeypatch, argv, m
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "flags", [("--omega1", "-1"), ("--omega1", "0.2"), ("--chi", "3"), ("--chi", "-1")]
+)
+def test_chain_triple_is_decided_by_the_drift_whatever_the_controls(capsys, flags):
+    # the triple's weights once were fixed for omega1 = chi = 1, so any other
+    # control strength failed their constraints and reported RANK_ONLY
+    code, out, _ = run_cli(capsys, "chain", "--n", "4", *flags)
+    res = report_of(out)["results"]
+    assert code == 0
+    assert res["verdict"] == "CONTROLLABLE"
+    assert res["triple"] == {"ok": True, "closure_dimension": 36, "message": None}
+    assert res["positivity"]["actual"] is True
+
+
+def test_chain_vanishing_rotation_control_names_omega1(capsys):
+    code, out, _ = run_cli(capsys, "chain", "--n", "4", "--omega1", "0")
+    res = report_of(out)["results"]
+    assert code == 1
+    assert res["verdict"] == "RANK_ONLY"
+    assert res["triple"]["ok"] is False
+    assert "omega1 = 0" in res["triple"]["message"]
 
 
 def test_chain_gray_zone_positivity_is_the_triple_decision(capsys):
@@ -686,14 +709,16 @@ def test_chain_beyond_the_closure_limit_exits_two_without_a_report(capsys):
     [
         ("rank", "--tol"), ("chain", "--tol"), ("chain", "--identity-tol"),
         ("chain", "--identities"), ("rank", "--max-rounds"), ("recur", "--grid-points"),
+        ("chain", "--alpha"), ("chain", "--beta"), ("chain", "--delta"),
     ],
     ids=["rank", "chain", "chain-identity-tol", "chain-identities", "rank-max-rounds",
-         "recur-grid-points"],
+         "recur-grid-points", "chain-alpha", "chain-beta", "chain-delta"],
 )
 def test_tol_flag_is_gone_from_rank_and_chain(capsys, command, flag):
     # the identities are checked exactly over F_p, so no tolerance is left;
     # the report carries them wherever the suite applies, so no switch either;
-    # the closure always runs to the end, and the recurrence grid is fixed
+    # the closure always runs to the end, the recurrence grid is fixed, and
+    # so is the positive triple
     target = {
         "rank": ["--model", str(MODELS / "chain_n3.json")],
         "chain": ["--n", "3"],

@@ -355,8 +355,9 @@ def _count_grid_points(monkeypatch) -> list:
 
 
 def test_refine_does_not_count_as_grid_points(monkeypatch):
-    # one chunk: the grid indices 0..n_points - 1 go through mode_distance once,
-    # and the refine of the candidates calls the kernel directly
+    # one chunk: the grid indices 0..n_points, every grid point up to
+    # max_time, go through mode_distance once, and the refine of the
+    # candidates calls the kernel directly
     H = QuadraticHamiltonian(2, np.eye(4))
     query = RecurrenceQuery(hamiltonian=H, epsilon=0.1, min_time=1.0, max_time=10.0)
     sizes = _count_grid_points(monkeypatch)
@@ -365,7 +366,7 @@ def test_refine_does_not_count_as_grid_points(monkeypatch):
     assert result.tau == pytest.approx(TWO_PI, abs=1e-6)
     h = TWO_PI / 16
     n_points = math.floor((10.0 - 1.0) / h)
-    assert sizes == [n_points]
+    assert sizes == [n_points + 1]
     # a horizon of two grid points is scanned point by point, once
     sizes.clear()
     find_recurrence(RecurrenceQuery(hamiltonian=H, epsilon=0.1, min_time=1.0, max_time=1.0 + 2.5 * h))
@@ -397,6 +398,40 @@ def test_a_short_horizon_is_searched_up_to_its_end_and_no_further(min_time, max_
     else:
         assert result.tau is None
         assert result.best_distance_seen > 0.1
+
+
+@pytest.mark.parametrize(
+    "nu,epsilon,min_time,max_time",
+    [
+        ((1.0,), 0.1, 0.0, 7.0), ((1.0,), 0.1, 0.0, 6.7), ((1.0,), 0.1, 0.0, 7.06),
+        ((1.0, 2.0), 0.5, 0.5, TWO_PI + 0.1), ((1.0, 2.0), 0.5, 0.5, TWO_PI + 0.2),
+    ],
+)
+def test_a_return_in_the_last_grid_steps_is_found(nu, epsilon, min_time, max_time):
+    # the scan once stopped one grid point short of the last one before
+    # max_time and never took that one as a candidate, so tau = 2 pi within
+    # the last two grid steps was missed; with two modes the earlier grid
+    # minimum at pi kept the no-minimum fallback from running either
+    H = QuadraticHamiltonian(len(nu), np.diag(np.repeat(nu, 2)))
+    result = find_recurrence(
+        RecurrenceQuery(hamiltonian=H, epsilon=epsilon, min_time=min_time, max_time=max_time)
+    )
+    assert result.found
+    assert result.tau == pytest.approx(TWO_PI, abs=1e-6)
+    assert result.tau <= max_time
+    assert result.achieved_distance < epsilon
+
+
+@pytest.mark.parametrize("chunk", [14, 15, 16, 17])
+def test_a_return_on_a_chunk_boundary_is_a_candidate(monkeypatch, chunk):
+    # tau = 2 pi sits on grid index 16; the chunked scan once skipped the
+    # centre after each chunk's last one, so with chunks of 15 centres it
+    # missed 2 pi and returned 4 pi
+    monkeypatch.setattr(recurrence, "_CHUNK", chunk)
+    H = QuadraticHamiltonian(1, np.eye(2))
+    result = find_recurrence(RecurrenceQuery(hamiltonian=H, epsilon=0.1, max_time=20.0))
+    assert result.found
+    assert result.tau == pytest.approx(TWO_PI, abs=1e-6)
 
 
 def test_grid_point_budget_stops_the_scan(monkeypatch):
