@@ -22,7 +22,8 @@ kernel directly, golden-section on a batch of a chunk's candidate minima in
 lockstep, each with its own bracket, width target and stop. The batches
 follow grid order and double in size, and the refined minima are confirmed
 in grid order, so the answer is the one a candidate-by-candidate search
-gives.
+gives. One chunked scan serves every horizon, and a return in the first
+or the last grid cell is refined like any other.
 
 The search is existence-driven, not optimal: horizon exhaustion is an honest
 ``found=False``, never an exception. Its work is bounded: past
@@ -187,18 +188,21 @@ def _refine(
 def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
     """Locate a recurrence time tau > min_time with distance below epsilon.
 
-    mode_distance is scanned on a uniform grid with spacing
-    (2 pi / nu_max) / 16 at every grid point up to max_time, and each local
-    minimum is refined; the last grid point counts as a minimum where the
-    distance still falls there, its bracket clipped at max_time. A refined
+    mode_distance is scanned in one chunked pass on a uniform grid with
+    spacing (2 pi / nu_max) / 16 at every grid point from min_time to
+    max_time, and each local minimum is refined. The distance counts as
+    infinite beyond both ends, so the first grid point is a minimum where
+    the distance rises from it, and the last where it still falls there;
+    their brackets are clipped at min_time and max_time. A refined
     minimum t* with bound K * d* <= epsilon is an epsilon-recurrence by the
     bound; one evaluation of the true propagator distance at t* confirms
     it, and the first confirmed t* is returned as tau with
     mode_distance_at_tau = d*. When no candidate passed the bound,
-    the refined best grid minimum gets one true-distance evaluation, and a
-    distance below epsilon there is returned as found too; a grid with no
-    minimum offers its last point, and a horizon shorter than one
-    grid step is scanned with one step that ends on it. Refines stay inside
+    the lowest grid minimum past min_time, or the last grid point when
+    there is none, is refined and gets one true-distance evaluation, and a
+    distance below epsilon there is returned as found too; min_time itself
+    is never that point. A horizon shorter than one grid step is scanned
+    with one step that ends on it. Refines stay inside
     [min_time, max_time], so tau never passes the horizon. A refine that
     ends on the lower end of its bracket found the distance rising there,
     as it does from the identity at t = 0: that is not a return, and its
@@ -248,7 +252,7 @@ def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
     last = min(n_points, GRID_POINT_BUDGET - 1)  # the last grid index scanned
     budget_exhausted = n_points > last
     best_true = math.inf
-    best_grid: Optional[tuple[float, float]] = None  # lowest unrefined grid minimum
+    t_grid, d_grid = None, math.inf  # the lowest grid minimum past min_time, unrefined
 
     def result(tau=None, dist=None, d_star=None) -> RecurrenceResult:
         return RecurrenceResult(
@@ -292,47 +296,37 @@ def find_recurrence(query: RecurrenceQuery) -> RecurrenceResult:
             start, size = start + size, 2 * size
         return None
 
-    if last <= 2:
-        ts = query.min_time + np.arange(1, last + 1) * h
-        d = mode_distance(nu, ts)
-        k_best = int(np.argmin(d))
-        best_grid = (float(ts[k_best]), float(d[k_best]))
-        hit = consider(ts)
+    # chunks of grid indices 0..last, each centre with its neighbours, so
+    # minima at chunk boundaries are not missed; before index 0 and past the
+    # last one the distance counts as infinite, so either end of the grid is
+    # a candidate where the distance rises from it
+    j = 0
+    while j <= last:
+        j_hi = min(j + _CHUNK - 1, last)  # the chunk's centres are j..j_hi
+        ts = query.min_time + np.arange(max(j - 1, 0), min(j_hi + 1, last) + 1) * h
+        d = np.pad(mode_distance(nu, ts), (int(j == 0), int(j_hi == last)), constant_values=np.inf)
+        interior = np.nonzero((d[1:-1] <= d[:-2]) & (d[1:-1] <= d[2:]))[0] + 1
+        k = j - 1 + interior  # d[i] is the distance at grid index j - 1 + i
+        past_start = interior[k >= 1]  # min_time itself is never the fallback point
+        if past_start.size:
+            i_best = int(past_start[np.argmin(d[past_start])])
+            if d[i_best] < d_grid:
+                t_grid, d_grid = query.min_time + (j - 1 + i_best) * h, d[i_best]
+        hit = consider(query.min_time + k[d[interior] <= threshold + margin] * h)
         if hit is not None:
             return hit
-    else:
-        # chunks of grid indices 0..last, each centre with its neighbours, so
-        # minima at chunk boundaries are not missed; past the last point the
-        # distance counts as infinite, so it is a candidate where it still falls
-        j = 1
-        while j <= last:
-            j_hi = min(j + _CHUNK - 1, last)  # the chunk's centres are j..j_hi
-            ts = query.min_time + np.arange(j - 1, min(j_hi + 1, last) + 1) * h
-            d = mode_distance(nu, ts)
-            if j_hi == last:
-                d = np.append(d, np.inf)
-            interior = np.nonzero((d[1:-1] <= d[:-2]) & (d[1:-1] <= d[2:]))[0] + 1
-            if interior.size:
-                k_best = int(interior[np.argmin(d[interior])])
-                if best_grid is None or d[k_best] < best_grid[1]:
-                    best_grid = (float(ts[k_best]), float(d[k_best]))
-                hit = consider(ts[interior[d[interior] <= threshold + margin]])
-                if hit is not None:
-                    return hit
-            j = j_hi + 1
-
-        if best_grid is None:
-            # no grid minimum: the distance rises to the end; offer the last
-            # grid point for an honest distance, never min_time
-            t_last = query.min_time + last * h
-            best_grid = (t_last, float(_mode_distance(nu_modes, np.array([t_last]))[0]))
+        j = j_hi + 1
 
     if not math.isfinite(best_true):
         # report an honest true distance at the best bound seen; the bound
-        # is loose by up to K, so that distance may itself be below epsilon
-        t_star, d_star, returns = (x[0].item() for x in refine(np.array([best_grid[0]])))
+        # is loose by up to K, so that distance may itself be below epsilon.
+        # With no grid minimum past min_time the distance rises to the end,
+        # and the last grid point is offered
+        if t_grid is None:
+            t_grid = query.min_time + last * h
+        t_star, d_star, returns = (x[0].item() for x in refine(np.array([t_grid])))
         if not returns:
-            best_true = true_distance(best_grid[0])
+            best_true = true_distance(t_grid)
         else:
             best_true = true_distance(t_star)
             if best_true < query.epsilon:

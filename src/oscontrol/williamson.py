@@ -40,7 +40,7 @@ __all__ = [
     "DIAGONALIZER_CONDITION_CAP",
 ]
 
-DEFAULT_DEFINITENESS_TOL = 1e-10
+_DEFINITENESS_TOL = 1e-10
 DEFAULT_RESIDUAL_TOL = 1e-8
 
 # eigenvector bases with condition number beyond this cap carry no numerical
@@ -80,23 +80,23 @@ def _coerce_symmetric(H) -> np.ndarray:
     return QuadraticHamiltonian(A.shape[0] // 2, A).A
 
 
-def _positive_definite(w: np.ndarray, tol: float = DEFAULT_DEFINITENESS_TOL) -> bool:
-    """The one definiteness rule: the ascending spectrum w of A has w[0] > tol * ||A||_2."""
-    return bool(w[0] > tol * max(abs(w[0]), abs(w[-1])))
+def _positive_definite(w: np.ndarray) -> bool:
+    """The one definiteness rule: the ascending spectrum w of A has w[0] > 1e-10 * ||A||_2."""
+    return bool(w[0] > _DEFINITENESS_TOL * max(abs(w[0]), abs(w[-1])))
 
 
-def _require_positive_definite(w: np.ndarray, tol: float = DEFAULT_DEFINITENESS_TOL) -> None:
+def _require_positive_definite(w: np.ndarray) -> None:
     """Raise DefinitenessError unless :func:`_positive_definite` holds."""
-    if not _positive_definite(w, tol):
+    if not _positive_definite(w):
         scale = max(abs(w[0]), abs(w[-1]))
         raise DefinitenessError(
             f"matrix is not positive definite: smallest eigenvalue {w[0]:.6e} "
-            f"(threshold {tol:.1e} * ||A||_2 = {tol * scale:.6e})",
+            f"(threshold {_DEFINITENESS_TOL:.1e} * ||A||_2 = {_DEFINITENESS_TOL * scale:.6e})",
             smallest_eigenvalue=w[0],
         )
 
 
-def symplectic_eigenvalues(H, tol: float = DEFAULT_DEFINITENESS_TOL) -> np.ndarray:
+def symplectic_eigenvalues(H) -> np.ndarray:
     """Symplectic eigenvalues nu_1 <= ... <= nu_n of a positive-definite A.
 
     Computed directly as the positive imaginary parts of the eigenvalues of
@@ -104,7 +104,7 @@ def symplectic_eigenvalues(H, tol: float = DEFAULT_DEFINITENESS_TOL) -> np.ndarr
     :func:`williamson_decompose` and cross-checks it in the tests.
     """
     A = _coerce_symmetric(H)
-    _require_positive_definite(np.linalg.eigvalsh(A), tol)
+    _require_positive_definite(np.linalg.eigvalsh(A))
     n = A.shape[0] // 2
     ev = np.linalg.eigvals(A @ symplectic_form(n))
     nu = np.sort(ev.imag[ev.imag > 0.0])

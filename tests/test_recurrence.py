@@ -367,10 +367,11 @@ def test_refine_does_not_count_as_grid_points(monkeypatch):
     h = TWO_PI / 16
     n_points = math.floor((10.0 - 1.0) / h)
     assert sizes == [n_points + 1]
-    # a horizon of two grid points is scanned point by point, once
+    # a horizon of two grid steps is scanned in the same one chunk, from
+    # grid index 0 (min_time) to index 2
     sizes.clear()
     find_recurrence(RecurrenceQuery(hamiltonian=H, epsilon=0.1, min_time=1.0, max_time=1.0 + 2.5 * h))
-    assert sizes == [2]
+    assert sizes == [3]
 
 
 @pytest.mark.parametrize(
@@ -432,6 +433,23 @@ def test_a_return_on_a_chunk_boundary_is_a_candidate(monkeypatch, chunk):
     result = find_recurrence(RecurrenceQuery(hamiltonian=H, epsilon=0.1, max_time=20.0))
     assert result.found
     assert result.tau == pytest.approx(TWO_PI, abs=1e-6)
+
+
+@pytest.mark.parametrize("max_time", [None, 20.0, 100.0, 7.0])
+@pytest.mark.parametrize("chunk", [None, 14, 15, 16, 17])
+def test_a_return_in_the_first_grid_cell_is_found(monkeypatch, chunk, max_time):
+    # from min_time = 6.2 the distance falls to 2 pi within the first grid
+    # step; the chunked scan once never took grid index 0 as a candidate, so
+    # every horizon but the shortest skipped 2 pi and returned 4 pi
+    if chunk is not None:
+        monkeypatch.setattr(recurrence, "_CHUNK", chunk)
+    H = QuadraticHamiltonian(1, np.eye(2))
+    result = find_recurrence(
+        RecurrenceQuery(hamiltonian=H, epsilon=0.1, min_time=6.2, max_time=max_time)
+    )
+    assert result.found
+    assert result.tau == pytest.approx(TWO_PI, abs=1e-9)
+    assert result.achieved_distance < 0.1
 
 
 def test_grid_point_budget_stops_the_scan(monkeypatch):
