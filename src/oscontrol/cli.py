@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from . import __version__
+from . import __version__, evolution, williamson
 from .chain import VERDICT_CONTROLLABLE, ChainSpec, controllability_report
 from .closure import LieSubspace, closure, full_dimension
 from .documents import (
@@ -115,7 +115,7 @@ def cmd_williamson(args, report: dict) -> int:
     name = args.hamiltonian or model_doc.drift
     H = model_doc.hamiltonian(name)
     results = _header(
-        report, "williamson", file_digest(args.model), {"residual_tol": args.tol},
+        report, "williamson", file_digest(args.model), {"residual_tol": williamson._RESIDUAL_TOL},
         {"model": str(args.model), "hamiltonian": name},
     )
     cert = spectrum_certificate(H)
@@ -127,7 +127,7 @@ def cmd_williamson(args, report: dict) -> int:
         if np.isfinite(cert.diagonalizer_condition)
         else None,
     }
-    dec = williamson_decompose(H, tol=args.tol)
+    dec = williamson_decompose(H)
     results.update(nu=[float(v) for v in dec.nu], V=_matrix(dec.V), residual=dec.residual)
     return 0
 
@@ -173,14 +173,19 @@ def cmd_evolve(args, report: dict) -> int:
     schedule_doc = ScheduleDocument.from_path(args.schedule)
     model = model_doc.control_model()
     sigma = schedule_doc.initial_covariance
-    if sigma is not None and sigma.shape != (2 * model.n, 2 * model.n):
-        raise DocumentError(
-            f"initial_covariance: expected shape ({2*model.n}, {2*model.n}), got {sigma.shape}"
-        )
-    S = propagate(model, schedule_doc.schedule)
-    tol = 1e-8
+    state = None
+    if sigma is not None:
+        if sigma.shape != (2 * model.n, 2 * model.n):
+            raise DocumentError(
+                f"initial_covariance: expected shape ({2*model.n}, {2*model.n}), got {sigma.shape}"
+            )
+        try:
+            state = CovarianceState(sigma)
+        except ValueError as exc:
+            raise DocumentError(f"initial_covariance: {exc}") from exc
     results = _header(
-        report, "evolve", file_digest(args.model), {"covariance_symplectic_tol": tol},
+        report, "evolve", file_digest(args.model),
+        {"covariance_symplectic_tol": evolution._COVARIANCE_SYMPLECTIC_TOL},
         {
             "model": str(args.model),
             "schedule": str(args.schedule),
@@ -188,14 +193,14 @@ def cmd_evolve(args, report: dict) -> int:
             "segments": len(schedule_doc.schedule.segments),
         },
     )
+    S = propagate(model, schedule_doc.schedule)
     results.update(
         S=_matrix(S),
         symplecticity_audit=audit_symplecticity(S),
         total_duration=schedule_doc.schedule.total_duration,
     )
-    if sigma is not None:
-        state = evolve_covariance(CovarianceState(sigma), S, tol=tol)
-        results["final_covariance"] = _matrix(state.sigma)
+    if state is not None:
+        results["final_covariance"] = _matrix(evolve_covariance(state, S).sigma)
     return 0
 
 
@@ -243,18 +248,6 @@ def cmd_chain(args, report: dict) -> int:
     return 0 if rep.verdict == VERDICT_CONTROLLABLE and identities_ok else 1
 
 
-def _checked(convert, ok, rule: str):
-    """An argparse type rejecting a value that fails ``ok``: exit 2 naming the flag."""
-    def parse(text: str):
-        value = convert(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
-        return value
-
-    parse.__name__ = convert.__name__  # "invalid float value: ..." for unparsable text
-    return parse
-
-
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.
@@ -277,8 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("williamson", help="Williamson normal form and spectrum certificate")
     p.add_argument("--model", required=True)
     p.add_argument("--hamiltonian", default=None, help="name in the model (default: drift)")
-    p.add_argument("--tol", type=_checked(float, lambda v: 0 <= v < np.inf, "finite and >= 0"),
-                   default=1e-8, help="relative reconstruction tolerance")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_williamson)
 

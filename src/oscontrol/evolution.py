@@ -113,6 +113,7 @@ class ControlSchedule:
 
 
 _CHUNK = 256  # segments per stacked exponential; bounds the stack at _CHUNK (2n)^2 floats
+_COVARIANCE_SYMPLECTIC_TOL = 1e-8  # evolve_covariance's audit, relative to max(1, ||S||_F^2)
 
 
 def propagate(model: ControlModel, schedule: ControlSchedule) -> np.ndarray:
@@ -124,7 +125,9 @@ def propagate(model: ControlModel, schedule: ControlSchedule) -> np.ndarray:
     any exponential. The schedule is then taken in chunks of ``_CHUNK``
     rows: each chunk's generators are assembled with one ``tensordot``,
     exponentiated by one stacked ``expm`` call, and multiplied into S on the
-    left in segment order.
+    left in segment order. A product that overflows double precision,
+    which an indefinite segment Hamiltonian can drive, raises
+    ``AnalysisError``.
     """
     segments = schedule.segments
     if len(segments) and segments.shape[1] - 1 != model.num_controls:
@@ -136,11 +139,16 @@ def propagate(model: ControlModel, schedule: ControlSchedule) -> np.ndarray:
     omega = symplectic_form(model.n)
     controls = np.array([c.A for c in model.controls]).reshape(model.num_controls, dim, dim)
     S = np.eye(dim)
-    for lo in range(0, len(segments), _CHUNK):
-        chunk = segments[lo:lo + _CHUNK]
-        A = model.drift.A + np.tensordot(chunk[:, 1:], controls, axes=1)
-        for E in expm(-A @ omega, chunk[:, 0]):
-            S = E @ S
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+        for lo in range(0, len(segments), _CHUNK):
+            chunk = segments[lo:lo + _CHUNK]
+            A = model.drift.A + np.tensordot(chunk[:, 1:], controls, axes=1)
+            for E in expm(-A @ omega, chunk[:, 0]):
+                S = E @ S
+    if not np.isfinite(S).all():
+        raise AnalysisError(
+            "propagator S has non-finite entries: the evolution overflows double precision"
+        )
     return S
 
 
@@ -181,23 +189,22 @@ class CovarianceState:
         return self.sigma.shape[0] // 2
 
 
-def evolve_covariance(state: CovarianceState, S, tol: float = 1e-8) -> CovarianceState:
+def evolve_covariance(state: CovarianceState, S) -> CovarianceState:
     """Transport a covariance matrix: sigma -> S sigma S^T.
 
-    S must be symplectic to ``tol`` relative to ``max(1, ||S||_F^2)``, the
+    S must be symplectic to 1e-8 relative to ``max(1, ||S||_F^2)``, the
     scale of the rounding in S Omega S^T; the transport then preserves the
     symplectic eigenvalues of sigma (purity and temperature invariants).
-    A tol that is NaN, negative or infinite, or a shape mismatch, raises
-    ``ValueError`` before any work; an S that fails the audit raises
-    ``AnalysisError``, a failed numerical check rather than a bad input.
+    A shape mismatch raises ``ValueError`` before any work; an S that fails
+    the audit, or has a non-finite entry, raises ``AnalysisError``, a failed
+    numerical check rather than a bad input.
     """
-    if not 0 <= tol < np.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     S = np.asarray(S, dtype=float)
     if S.shape != state.sigma.shape:
         raise ValueError(f"shape mismatch: sigma {state.sigma.shape}, S {S.shape}")
+    tol = _COVARIANCE_SYMPLECTIC_TOL
     defect = audit_symplecticity(S)
-    if defect > tol * max(1.0, np.linalg.norm(S) ** 2):
+    if not defect <= tol * max(1.0, np.linalg.norm(S) ** 2):  # a NaN audit fails too
         raise AnalysisError(f"S is not symplectic to {tol} * ||S||_F^2: audit {defect:.3e}")
     out = S @ state.sigma @ S.T
     return CovarianceState(sigma=0.5 * (out + out.T))

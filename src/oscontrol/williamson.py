@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 _DEFINITENESS_TOL = 1e-10
-DEFAULT_RESIDUAL_TOL = 1e-8
+_RESIDUAL_TOL = 1e-8  # relative bound on ||A - V D V^T||_F
 
 # eigenvector bases with condition number beyond this cap carry no numerical
 # rank information in double precision; the matrix is reported
@@ -130,16 +130,16 @@ class WilliamsonDecomposition:
         return np.diag(np.repeat(self.nu, 2))
 
 
-def williamson_decompose(H, tol: float = DEFAULT_RESIDUAL_TOL) -> WilliamsonDecomposition:
+def williamson_decompose(H) -> WilliamsonDecomposition:
     """Williamson normal form of a positive-definite quadratic Hamiltonian.
+
+    The decomposition fails if ``||A - V D V^T||_F > 1e-8 ||A||_F``. The
+    message then says whether the residual is within its rounding bound
+    ``8 n eps ||V||_F^2 nu_n`` (the tolerance is below rounding level) or
+    beyond it (the input is too ill-conditioned).
 
     Args:
         H: QuadraticHamiltonian (or plain symmetric matrix), positive definite.
-        tol: relative reconstruction tolerance; the decomposition fails if
-            ``||A - V D V^T||_F > tol * ||A||_F``. The message says whether
-            the residual is within its rounding bound
-            ``8 n eps ||V||_F^2 nu_n`` (the tolerance is below rounding
-            level) or beyond it (the input is too ill-conditioned).
 
     Returns:
         WilliamsonDecomposition with nu sorted ascending. V is canonicalised
@@ -148,12 +148,9 @@ def williamson_decompose(H, tol: float = DEFAULT_RESIDUAL_TOL) -> WilliamsonDeco
         freedom when eigenvalues are degenerate.
 
     Raises:
-        ValueError: before any work, for a tol that is NaN, negative or infinite.
         DefinitenessError: A is not positive definite.
         AnalysisError: the residual or the symplecticity audit of V failed.
     """
-    if not 0 <= tol < np.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     A = _coerce_symmetric(H)
     n = A.shape[0] // 2
     omega = symplectic_form(n)
@@ -185,6 +182,7 @@ def williamson_decompose(H, tol: float = DEFAULT_RESIDUAL_TOL) -> WilliamsonDeco
 
     D = np.diag(np.repeat(nu, 2))
     residual = float(np.linalg.norm(A - V @ D @ V.T))
+    tol = _RESIDUAL_TOL
     scale = max(np.linalg.norm(A), np.finfo(float).tiny)
     if residual > tol * scale:
         # forming V D V^T alone rounds by about 2n eps ||V||_F^2 nu_n; a

@@ -118,7 +118,7 @@ def test_criterion_4_williamson_round_trip():
     worst_nu_gap = 0.0
     for n, A in SAMPLES:
         H = QuadraticHamiltonian(n, A)
-        dec = williamson_decompose(H, tol=1e-8)
+        dec = williamson_decompose(H)
         worst_resid = max(worst_resid, dec.residual / np.linalg.norm(A))
         worst_sympl = worst_sympl and is_symplectic(dec.V, 1e-8)
         worst_nu_gap = max(worst_nu_gap, float(np.max(np.abs(dec.nu - symplectic_eigenvalues(H)))))

@@ -123,12 +123,11 @@ def test_williamson_indefinite_exit_one(capsys):
     assert "smallest eigenvalue" in report["results"]["error"]["message"]
 
 
-def test_williamson_residual_failure_exits_one_as_numerical(capsys):
+def test_williamson_residual_failure_exits_one_as_numerical(capsys, monkeypatch):
     # a reachable residual (about 3e-15) against an unreachable tolerance is
     # a failed analysis, not a usage error
-    code, out, _ = run_cli(
-        capsys, "williamson", "--model", str(MODELS / "chain_n3.json"), "--tol", "1e-20"
-    )
+    monkeypatch.setattr("oscontrol.williamson._RESIDUAL_TOL", 1e-20)
+    code, out, _ = run_cli(capsys, "williamson", "--model", str(MODELS / "chain_n3.json"))
     report = report_of(out)
     assert code == 1
     error = report["results"]["error"]
@@ -192,12 +191,12 @@ def test_closure_value_error_exits_two_without_a_report(capsys, monkeypatch, tmp
 
 
 def test_analysis_error_before_the_header_exits_two(capsys, monkeypatch, tmp_path):
-    # evolve builds its header after propagating: with no report to carry
+    # evolve reads its schedule before the header: with no report to carry
     # results.error, the failure is an input error
-    def boom(model, schedule):
+    def boom(path):
         raise AnalysisError("boom")
 
-    monkeypatch.setattr("oscontrol.cli.propagate", boom)
+    monkeypatch.setattr("oscontrol.cli.ScheduleDocument.from_path", boom)
     out_path = tmp_path / "report.json"
     code, out, err = run_cli(
         capsys, "evolve", "--model", str(MODELS / "single_mode.json"),
@@ -466,12 +465,61 @@ def test_evolve_covariance_audit_failure_exits_one_as_numerical(capsys, monkeypa
     assert "shape mismatch" in err
 
 
-def test_williamson_residual_within_rounding_blames_the_tolerance(capsys):
+@pytest.mark.parametrize("covariance", [False, True], ids=["no-covariance", "covariance"])
+def test_evolve_overflowing_propagator_exits_one_as_numerical(capsys, tmp_path, covariance):
+    # A = diag(11, -9) is indefinite, so S grows like e^7960: once numpy
+    # warned and the renderer met a nan, exit 2 with no report
+    doc = {"segments": [{"duration": 800, "controls": [5.0]}]}
+    if covariance:
+        doc["initial_covariance"] = [[0.5, 0.0], [0.0, 0.5]]
+    schedule = tmp_path / "overflow.json"
+    schedule.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        capsys, "evolve", "--model", str(MODELS / "single_mode.json"), "--schedule", str(schedule)
+    )
+    assert (code, err) == (1, "")
+    report = report_of(out)
+    assert report["inputs"]["segments"] == 1
+    assert report["tolerances"] == {"covariance_symplectic_tol": 1e-8}
+    assert report["results"]["error"]["kind"] == "numerical"
+    assert "non-finite" in report["results"]["error"]["message"]
+    assert set(report["results"]) == {"error"}
+
+
+def test_evolve_asymmetric_initial_covariance_is_named_before_propagating(
+    capsys, monkeypatch, tmp_path
+):
+    # once found only after the whole schedule had run, with a message that
+    # did not name the field
+    monkeypatch.setattr("oscontrol.cli.propagate", None)  # must not run
+    schedule = tmp_path / "asymmetric.json"
+    schedule.write_text(json.dumps({
+        "segments": [{"duration": 1.0, "controls": [0.5]}],
+        "initial_covariance": [[0.5, 0.3], [0.0, 0.5]],
+    }))
+    code, out, err = run_cli(
+        capsys, "evolve", "--model", str(MODELS / "single_mode.json"), "--schedule", str(schedule)
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: initial_covariance: sigma must be symmetric\n"
+
+    # the shape check still comes first
+    schedule.write_text(json.dumps({
+        "segments": [{"duration": 1.0, "controls": [0.5]}],
+        "initial_covariance": [[0.5, 0.3, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]],
+    }))
+    code, out, err = run_cli(
+        capsys, "evolve", "--model", str(MODELS / "single_mode.json"), "--schedule", str(schedule)
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: initial_covariance: expected shape (2, 2), got (3, 3)\n"
+
+
+def test_williamson_residual_within_rounding_blames_the_tolerance(capsys, monkeypatch):
     # chain_n3's drift is well conditioned: its residual of about 2e-15 is
     # rounding, so the message must not call the input ill-conditioned
-    code, out, _ = run_cli(
-        capsys, "williamson", "--model", str(MODELS / "chain_n3.json"), "--tol", "1e-20"
-    )
+    monkeypatch.setattr("oscontrol.williamson._RESIDUAL_TOL", 1e-20)
+    code, out, _ = run_cli(capsys, "williamson", "--model", str(MODELS / "chain_n3.json"))
     assert code == 1
     message = report_of(out)["results"]["error"]["message"]
     assert "the tolerance is below rounding level" in message
@@ -543,13 +591,9 @@ def test_chain_invalid_flags_exit_two(capsys):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (("williamson", "--model", "chain_n3.json", "--tol", "-1"),
-         "argument --tol: must be finite and >= 0, got -1"),
-        (("williamson", "--model", "chain_n3.json", "--tol", "nan"),
-         "argument --tol: must be finite and >= 0, got nan"),
         (("chain", "--n", "3", "--omega1", "nan"), "error: omega1 must be finite, got nan"),
     ],
-    ids=["williamson-tol-negative", "williamson-tol-nan", "chain-omega1-nan"],
+    ids=["chain-omega1-nan"],
 )
 def test_bad_numeric_flags_exit_two_before_analysis(capsys, monkeypatch, argv, message):
     # each of these once ran the analysis: exit 1 as a numerical failure,
@@ -600,22 +644,19 @@ def test_chain_gray_zone_positivity_is_the_triple_decision(capsys):
     assert res["verdict"] == "RANK_ONLY"
 
 
-def test_evolve_transports_covariance_with_the_echoed_tolerance(capsys, monkeypatch):
-    import oscontrol.cli as cli
+def test_evolve_transports_covariance_with_the_echoed_tolerance(capsys):
+    import oscontrol.evolution
 
-    real, seen = cli.evolve_covariance, []
-
-    def spy(state, S, tol):
-        seen.append(tol)
-        return real(state, S, tol=tol)
-
-    monkeypatch.setattr(cli, "evolve_covariance", spy)
     code, out, _ = run_cli(
         capsys, "evolve", "--model", str(MODELS / "single_mode.json"),
         "--schedule", str(MODELS / "schedule_demo.json"),
     )
+    report = report_of(out)
     assert code == 0
-    assert seen == [report_of(out)["tolerances"]["covariance_symplectic_tol"]]
+    assert report["tolerances"] == {
+        "covariance_symplectic_tol": oscontrol.evolution._COVARIANCE_SYMPLECTIC_TOL
+    }
+    assert "final_covariance" in report["results"]
 
 
 def test_chain_skips_identities_for_uneven_couplings(capsys):
@@ -709,18 +750,19 @@ def test_chain_beyond_the_closure_limit_exits_two_without_a_report(capsys):
     [
         ("rank", "--tol"), ("chain", "--tol"), ("chain", "--identity-tol"),
         ("chain", "--identities"), ("rank", "--max-rounds"), ("recur", "--grid-points"),
-        ("chain", "--alpha"), ("chain", "--beta"), ("chain", "--delta"),
+        ("chain", "--alpha"), ("chain", "--beta"), ("chain", "--delta"), ("williamson", "--tol"),
     ],
     ids=["rank", "chain", "chain-identity-tol", "chain-identities", "rank-max-rounds",
-         "recur-grid-points", "chain-alpha", "chain-beta", "chain-delta"],
+         "recur-grid-points", "chain-alpha", "chain-beta", "chain-delta", "williamson-tol"],
 )
 def test_tol_flag_is_gone_from_rank_and_chain(capsys, command, flag):
     # the identities are checked exactly over F_p, so no tolerance is left;
     # the report carries them wherever the suite applies, so no switch either;
     # the closure always runs to the end, the recurrence grid is fixed, and
-    # so is the positive triple
+    # so are the positive triple and the Williamson residual bound
     target = {
         "rank": ["--model", str(MODELS / "chain_n3.json")],
+        "williamson": ["--model", str(MODELS / "chain_n3.json")],
         "chain": ["--n", "3"],
         "recur": ["--model", str(MODELS / "single_mode.json"), "--epsilon", "0.1"],
     }[command]
@@ -809,9 +851,10 @@ def test_cached_parser_leaks_nothing_between_calls(capsys):
         ["chain", "--n", "3", "--h1-only"],
         ["chain", "--n", "3"],
         ["chain", "--n", "3", "--g2", "0.1"],
-        ["williamson", "--model", str(MODELS / "chain_n3.json"), "--tol", "1e-6"],
+        ["recur", "--model", str(MODELS / "single_mode.json"), "--epsilon", "0.1",
+         "--after", "6.2"],
         ["chain", "--n", "3"],
-        ["williamson", "--model", str(MODELS / "chain_n3.json")],
+        ["recur", "--model", str(MODELS / "single_mode.json"), "--epsilon", "0.1"],
     ]
     in_sequence = [run_cli(capsys, *argv) for argv in argvs]
     assert _build_parser() is _build_parser()
@@ -822,8 +865,8 @@ def test_cached_parser_leaks_nothing_between_calls(capsys):
         assert _without_wall_time(out) == _without_wall_time(alone_out)
     assert report_of(in_sequence[0][1])["inputs"]["h1_only"] is True
     assert report_of(in_sequence[1][1])["inputs"]["h1_only"] is False
-    assert report_of(in_sequence[3][1])["tolerances"]["residual_tol"] == 1e-6
-    assert report_of(in_sequence[5][1])["tolerances"]["residual_tol"] == 1e-8
+    assert report_of(in_sequence[3][1])["inputs"]["min_time"] == 6.2
+    assert report_of(in_sequence[5][1])["inputs"]["min_time"] == 0.0
 
 
 def test_evolve_reports_deterministic_across_calls_and_blas_threads(capsys, tmp_path):

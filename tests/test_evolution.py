@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -183,12 +184,25 @@ def test_evolve_covariance_rejects_non_symplectic():
         evolve_covariance(CovarianceState.vacuum(1), np.diag([2.0, 2.0]))
 
 
-@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
-def test_evolve_covariance_rejects_a_tolerance_that_is_nan_negative_or_infinite(tol):
-    # a nan tolerance once passed S = 10 I (sigma = 50 I); -1 failed as an audit
-    with pytest.raises(ValueError, match="tol must be finite and >= 0") as info:
-        evolve_covariance(CovarianceState.vacuum(1), 10.0 * np.eye(2), tol=tol)
-    assert not isinstance(info.value, AnalysisError)
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "S", [np.full((2, 2), np.nan), np.diag([np.inf, 1.0])], ids=["nan", "inf"]
+)
+def test_evolve_covariance_rejects_a_non_finite_S(S):
+    # the audit of such an S is nan, and nan > bound once let it through
+    with pytest.raises(
+        AnalysisError, match=r"^S is not symplectic to 1e-08 \* \|\|S\|\|_F\^2: audit nan$"
+    ):
+        evolve_covariance(CovarianceState.vacuum(1), S)
+
+
+def test_propagate_raises_when_the_propagator_overflows():
+    # A = diag(11, -9) is indefinite, so S grows like e^7960 and overflows
+    schedule = ControlSchedule.from_pairs([(800.0, (5.0,))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is reported, not warned about
+        with pytest.raises(AnalysisError, match="non-finite"):
+            propagate(_single_mode_model(), schedule)
 
 
 def test_evolve_covariance_audit_scales_with_norm():

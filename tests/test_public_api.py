@@ -4,7 +4,7 @@ import oscontrol
 
 REMOVED = (
     "positivity_condition", "positive_triple", "non_recurrence_witness", "bracket_hamiltonians",
-    "conditioning_bound", "TripleParams",
+    "conditioning_bound", "TripleParams", "DEFAULT_RESIDUAL_TOL",
 )
 MODULES = ("chain", "closure", "hamiltonians", "recurrence", "williamson")
 
@@ -18,7 +18,8 @@ def test_every_exported_name_resolves():
 def test_removed_names_are_not_exported():
     # the chain's positivity and triple are decided by controllability_report
     # alone; the bracket formula lives in the closure; K is the recurrence
-    # result's conditioning; the triple is fixed, so it has no weights to pass
+    # result's conditioning; the triple is fixed, so it has no weights to pass;
+    # the Williamson residual bound is fixed, so it has no default either
     modules = [oscontrol] + [importlib.import_module(f"oscontrol.{m}") for m in MODULES]
     for name in REMOVED:
         assert name not in oscontrol.__all__
