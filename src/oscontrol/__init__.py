@@ -16,7 +16,6 @@ from .symplectic import (
     commutator,
     expm,
     identity_distance,
-    is_symplectic,
     symplectic_form,
 )
 from .hamiltonians import (
@@ -73,8 +72,7 @@ from .documents import DocumentError, ModelDocument, ScheduleDocument
 __all__ = [
     "__version__",
     # symplectic
-    "symplectic_form", "is_symplectic", "audit_symplecticity", "commutator", "expm",
-    "identity_distance",
+    "symplectic_form", "audit_symplecticity", "commutator", "expm", "identity_distance",
     # hamiltonians
     "QuadraticHamiltonian", "HamiltonianTerm",
     "number", "hop", "pair", "squeeze", "generic",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, replace
-from typing import Callable, ClassVar, Mapping, NamedTuple, Optional, Union
+from typing import Callable, ClassVar, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "identity_suite_unmet",
     "verify_bracket_identities",
     "controllability_report",
-    "IDENTITY_NAMES",
 ]
 
 
@@ -70,6 +69,16 @@ class ChainSpec:
             object.__setattr__(self, name, v)
         if self.omega <= 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
+        # the drift's bond blocks are g1 +- g2 and the squeeze control's diagonal is +-2 chi
+        if not np.isfinite(abs(self.g1) + abs(self.g2)):
+            raise ValueError(
+                f"g1 and g2 overflow the drift: |g1| + |g2| must be finite, "
+                f"got g1 = {self.g1}, g2 = {self.g2}"
+            )
+        if not np.isfinite(2 * abs(self.chi)):
+            raise ValueError(
+                f"chi overflows the squeeze control: 2 |chi| must be finite, got chi = {self.chi}"
+            )
 
 
 def build_chain(spec: ChainSpec) -> ControlModel:
@@ -260,15 +269,15 @@ def _identity_table(
     2^53, and so is every linear combination the table forms of residues
     with residue weights.
 
-    Each lhs builder takes an integer scale factor applied to the identity's one
-    mutable coefficient, so the test harness can prove non-vacuity by
-    perturbing coefficients individually. Operands are always the seeds and
-    the unit-coefficient generators of ``_unit_generators``, never the
-    output of a previous identity, so a mutation stays confined to its own
-    record. In table order, each lhs is formed from the seeds
-    {iH0, iH1, iH2} and the rhs of earlier identities only; long-distance-13
-    alone also uses the bond (2, 3). So every rhs but that one lies in the
-    Lie algebra of the seeds. In each of the other eleven identities, every
+    Each lhs builder takes an integer scale factor applied to the identity's
+    one designated coefficient. The suite passes 1; the tests pass another
+    residue, one identity at a time, to prove the check is not vacuous.
+    Operands are always the seeds and the unit-coefficient generators of
+    ``_unit_generators``, never the output of a previous identity, so a
+    mutation stays confined to its own record. In table order, each lhs is
+    formed from the seeds {iH0, iH1, iH2} and the rhs of earlier identities
+    only; long-distance-13 alone also uses the bond (2, 3). So every rhs but
+    that one lies in the Lie algebra of the seeds. In each of the other eleven identities, every
     bracket has an operand supported on sites {1, 2}, and so does every rhs.
 
     Bracket combinations carry exact parameter scalings. The derivations fix
@@ -336,22 +345,6 @@ def _identity_table(
     ]
 
 
-IDENTITY_NAMES = (
-    "squeeze-anti-1",
-    "coupling-mix-12",
-    "coupling-mix-sym-12",
-    "exchange-anti-12",
-    "pair-anti-12",
-    "squeeze-anti-2",
-    "pair-sym-12",
-    "coupling-diff-12",
-    "exchange-sym-12",
-    "number-2",
-    "squeeze-sym-2",
-    "long-distance-13",
-)
-
-
 def identity_suite_unmet(spec: ChainSpec) -> list[str]:
     """The preconditions of the bracket-identity suite that ``spec`` fails.
 
@@ -374,9 +367,7 @@ def identity_suite_unmet(spec: ChainSpec) -> list[str]:
 
 
 def verify_bracket_identities(
-    spec: ChainSpec,
-    mutate: Optional[Mapping[str, float]] = None,
-    model: Optional[ControlModel] = None,
+    spec: ChainSpec, model: Optional[ControlModel] = None,
 ) -> IdentityReport:
     """Machine-check the bracket-identity chain behind local controllability, exactly.
 
@@ -390,10 +381,6 @@ def verify_bracket_identities(
 
     Raises ``ValueError`` naming every precondition of
     :func:`identity_suite_unmet` that ``spec`` fails.
-
-    ``mutate`` maps identity names to finite multiplicative factors on that
-    identity's designated coefficient, each entering as its residue mod p;
-    it exists so tests can prove the harness is not vacuous.
     """
     unmet = identity_suite_unmet(spec)
     if unmet:
@@ -403,17 +390,10 @@ def verify_bracket_identities(
     elif model.n != spec.n:
         raise ValueError(f"model has {model.n} sites, spec has n = {spec.n}")
 
-    mutate = dict(mutate or {})
-    unknown = set(mutate) - set(IDENTITY_NAMES)
-    if unknown:
-        raise ValueError(f"unknown identity names in mutate: {sorted(unknown)}")
-    if not all(np.isfinite(v) for v in mutate.values()):
-        raise ValueError(f"mutate factors must be finite, got {mutate}")
-
     p = PRIMES[0]
     records = []
     for name, lhs_builder, rhs in _identity_table(*_window(spec, model), p):
-        lhs = _reduce(lhs_builder(_residue(float(mutate.get(name, 1)), p)), p)
+        lhs = _reduce(lhs_builder(1), p)
         records.append(IdentityRecord(name, lhs, rhs, holds=not _reduce(lhs - rhs, p).any()))
     return IdentityReport(
         records=tuple(records), prime=p, all_pass=all(r.holds for r in records),
@@ -425,9 +405,8 @@ class ChainInduction:
     """Full rank of the chain's closure, proved by the paper's induction over F_prime.
 
     It stands where the closure's ``LieSubspace`` would, with the fields the
-    report reads: the dimension is n(2n+1), no bracket depth was explored,
-    and it is not passive (the squeeze seed is not). See
-    :func:`_chain_induction` for the proof.
+    report reads: the dimension is n(2n+1) and no bracket depth was
+    explored. See :func:`_chain_induction` for the proof.
     """
 
     n: int
@@ -436,7 +415,6 @@ class ChainInduction:
     certificate: ClassVar[str] = "chain_induction"
     full_rank: ClassVar[bool] = True
     bracket_depth_reached: ClassVar[None] = None
-    passive: ClassVar[bool] = False
 
     @property
     def dimension(self) -> int:

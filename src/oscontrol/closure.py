@@ -47,7 +47,7 @@ from typing import ClassVar, Iterable
 import numpy as np
 
 from .hamiltonians import QuadraticHamiltonian
-from .symplectic import symplectic_form
+from .symplectic import _symmetric_part, symplectic_form
 
 __all__ = [
     "LieSubspace",
@@ -124,7 +124,7 @@ def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _symmetric(H: QuadraticHamiltonian) -> np.ndarray:
     """H.A with the rounding-level asymmetry its validation allows removed."""
-    return 0.5 * (H.A + H.A.T)
+    return _symmetric_part(H.A)
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .hamiltonians import QuadraticHamiltonian, _readonly
-from .symplectic import audit_symplecticity, expm, symplectic_form
+from .symplectic import _symmetric_part, audit_symplecticity, expm, symplectic_form
 from .williamson import AnalysisError
 
 __all__ = [
@@ -195,9 +195,10 @@ def evolve_covariance(state: CovarianceState, S) -> CovarianceState:
     S must be symplectic to 1e-8 relative to ``max(1, ||S||_F^2)``, the
     scale of the rounding in S Omega S^T; the transport then preserves the
     symplectic eigenvalues of sigma (purity and temperature invariants).
-    A shape mismatch raises ``ValueError`` before any work; an S that fails
-    the audit, or has a non-finite entry, raises ``AnalysisError``, a failed
-    numerical check rather than a bad input.
+    A shape mismatch raises ``ValueError`` before any work. An S that fails
+    the audit or has a non-finite entry, and an S sigma S^T that overflows
+    double precision, raise ``AnalysisError``: a failed numerical check
+    rather than a bad input.
     """
     S = np.asarray(S, dtype=float)
     if S.shape != state.sigma.shape:
@@ -206,5 +207,11 @@ def evolve_covariance(state: CovarianceState, S) -> CovarianceState:
     defect = audit_symplecticity(S)
     if not defect <= tol * max(1.0, np.linalg.norm(S) ** 2):  # a NaN audit fails too
         raise AnalysisError(f"S is not symplectic to {tol} * ||S||_F^2: audit {defect:.3e}")
-    out = S @ state.sigma @ S.T
-    return CovarianceState(sigma=0.5 * (out + out.T))
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+        out = S @ state.sigma @ S.T
+    if not np.isfinite(out).all():
+        raise AnalysisError(
+            "covariance S sigma S^T has non-finite entries: "
+            "the transport overflows double precision"
+        )
+    return CovarianceState(sigma=_symmetric_part(out))

@@ -66,10 +66,6 @@ class QuadraticHamiltonian:
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "A", _readonly(A))
 
-    @property
-    def dim(self) -> int:
-        return 2 * self.n
-
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianTerm:

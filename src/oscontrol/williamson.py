@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonians import QuadraticHamiltonian
-from .symplectic import is_symplectic, symplectic_form
+from .symplectic import audit_symplecticity, symplectic_form
 
 __all__ = [
     "AnalysisError",
@@ -198,7 +198,8 @@ def williamson_decompose(H) -> WilliamsonDecomposition:
             f"Williamson reconstruction residual {residual:.3e} exceeds "
             f"{tol:.1e} * ||A||_F = {tol * scale:.3e}; {cause}"
         )
-    if not is_symplectic(V, 1e-8 * max(1.0, np.linalg.norm(V) ** 2)):
+    # relative to ||V||_F^2, the scale of the rounding in V Omega V^T; a NaN audit fails too
+    if not audit_symplecticity(V) <= 1e-8 * max(1.0, np.linalg.norm(V) ** 2):
         raise AnalysisError("Williamson basis V failed the symplecticity audit")
     V.setflags(write=False)
     nu.setflags(write=False)

@@ -26,7 +26,6 @@ from oscontrol import (
     find_recurrence,
     full_dimension,
     identity_distance,
-    is_symplectic,
     mode_distance,
     propagate,
     spectrum_certificate,
@@ -35,8 +34,8 @@ from oscontrol import (
     verify_bracket_identities,
     williamson_decompose,
 )
-from oscontrol.chain import IDENTITY_NAMES
 from oracles import random_positive_definite, random_symmetric
+from test_chain import mutate_identity
 
 TWO_PI = 2.0 * math.pi
 
@@ -73,7 +72,7 @@ def test_criterion_1_chain_controllability_dimensions():
     _criterion(1, ok, f"closure dimensions {dims} (expected {expected}) in {elapsed:.2f}s")
 
 
-def test_criterion_2_identity_suite_with_mutations():
+def test_criterion_2_identity_suite_with_mutations(monkeypatch):
     held = True
     for g in (0.1, 0.2, 0.4):
         for omega1 in (0.5, 1.0, 2.0):
@@ -85,15 +84,17 @@ def test_criterion_2_identity_suite_with_mutations():
                     _criterion(2, False, f"identities failed at g={g}, omega1={omega1}, chi={chi}")
     caught = 0
     canonical = ChainSpec(n=3, omega=1.0, g1=0.2, g2=0.2)
-    for name in IDENTITY_NAMES:
-        report = verify_bracket_identities(canonical, mutate={name: 1.01})
-        record = next(r for r in report.records if r.name == name)
-        caught += record.holds is False and not report.all_pass
-    ok = held and caught == len(IDENTITY_NAMES)
+    names = [r.name for r in verify_bracket_identities(canonical).records]
+    for name in names:
+        with monkeypatch.context() as m:
+            mutate_identity(m, name)
+            report = verify_bracket_identities(canonical)
+        caught += [r.name for r in report.records if not r.holds] == [name] and not report.all_pass
+    ok = held and len(names) == 12 and caught == len(names)
     _criterion(
         2, ok,
         f"12 identities hold exactly mod {report.prime} over 27 parameter points; "
-        f"{caught} of {len(IDENTITY_NAMES)} 1% mutations break their identity",
+        f"{caught} of {len(names)} 1% mutations break their identity alone",
     )
 
 
@@ -120,7 +121,7 @@ def test_criterion_4_williamson_round_trip():
         H = QuadraticHamiltonian(n, A)
         dec = williamson_decompose(H)
         worst_resid = max(worst_resid, dec.residual / np.linalg.norm(A))
-        worst_sympl = worst_sympl and is_symplectic(dec.V, 1e-8)
+        worst_sympl = worst_sympl and audit_symplecticity(dec.V) <= 1e-8
         worst_nu_gap = max(worst_nu_gap, float(np.max(np.abs(dec.nu - symplectic_eigenvalues(H)))))
     analytic = []
     for a, b in ((4.0, 1.0), (2.0, 0.5), (7.3, 0.9)):

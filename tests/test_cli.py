@@ -486,6 +486,22 @@ def test_evolve_overflowing_propagator_exits_one_as_numerical(capsys, tmp_path, 
     assert set(report["results"]) == {"error"}
 
 
+def test_evolve_covariance_that_overflows_exits_one_as_numerical(capsys, tmp_path):
+    # S sigma S^T overflowed to inf, and the renderer refused the report: exit 2
+    doc = json.loads((MODELS / "schedule_demo.json").read_text())
+    doc["initial_covariance"] = [[1e308, 0.0], [0.0, 1e308]]
+    schedule = tmp_path / "large_covariance.json"
+    schedule.write_text(json.dumps(doc))
+    code, out, _ = run_cli(
+        capsys, "evolve", "--model", str(MODELS / "single_mode.json"), "--schedule", str(schedule)
+    )
+    assert code == 1
+    res = report_of(out)["results"]
+    assert res["error"]["kind"] == "numerical"
+    assert "S sigma S^T has non-finite entries" in res["error"]["message"]
+    assert np.isfinite(res["S"]).all() and "final_covariance" not in res
+
+
 def test_evolve_asymmetric_initial_covariance_is_named_before_propagating(
     capsys, monkeypatch, tmp_path
 ):
@@ -582,6 +598,46 @@ def test_chain_auto_skips_identities_it_cannot_normalise(capsys, flags):
     assert "identities" not in report["results"]
 
 
+def test_rank_chain_shorthand_that_overflows_names_the_field(capsys, tmp_path):
+    # once "A has non-finite entries" after numpy RuntimeWarnings, naming no field
+    model = tmp_path / "chain_overflow.json"
+    model.write_text(json.dumps({"chain": {"n": 3, "g1": 1e308, "g2": 1e308}}))
+    code, out, err = run_cli(capsys, "rank", "--model", str(model))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: chain: g1 and g2 overflow the drift: |g1| + |g2| must be finite, "
+        "got g1 = 1e+308, g2 = 1e+308\n"
+    )
+
+
+def test_rank_entry_near_the_largest_double_is_analysed(capsys, tmp_path):
+    # A + A^T overflowed to inf, and the closure crashed with a traceback
+    model = tmp_path / "large_entry.json"
+    model.write_text(json.dumps({
+        "modes": 1,
+        "hamiltonians": [
+            {"name": "H0", "matrix": [[1e308, 0.0], [0.0, 1.0]]},
+            {"name": "H1", "terms": [{"kind": "squeeze", "mode": 1, "coeff": 1.0}]},
+        ],
+        "drift": "H0",
+        "controls": ["H1"],
+    }))
+    code, out, _ = run_cli(capsys, "rank", "--model", str(model))
+    assert code == 0
+    res = report_of(out)["results"]
+    assert (res["dimension"], res["rank_criterion_met"]) == (3, True)
+
+
+def test_chain_coupling_near_the_largest_double_is_analysed(capsys):
+    # g1 = 1e308 alone is a finite drift: once the same closure traceback
+    code, out, _ = run_cli(capsys, "chain", "--n", "2", "--g1", "1e308", "--g2", "0")
+    assert code == 1
+    res = report_of(out)["results"]
+    assert res["verdict"] == "RANK_ONLY"
+    assert (res["dimension"], res["rank_criterion_met"]) == (10, True)
+    assert res["positivity"]["actual"] is False
+
+
 def test_chain_invalid_flags_exit_two(capsys):
     code, _, err = run_cli(capsys, "chain", "--n", "0")
     assert code == 2
@@ -592,8 +648,17 @@ def test_chain_invalid_flags_exit_two(capsys):
     "argv,message",
     [
         (("chain", "--n", "3", "--omega1", "nan"), "error: omega1 must be finite, got nan"),
+        (
+            ("chain", "--n", "3", "--g1", "1e308", "--g2", "1e308"),
+            "error: g1 and g2 overflow the drift: |g1| + |g2| must be finite, "
+            "got g1 = 1e+308, g2 = 1e+308",
+        ),
+        (
+            ("chain", "--n", "3", "--chi", "1e308"),
+            "error: chi overflows the squeeze control: 2 |chi| must be finite, got chi = 1e+308",
+        ),
     ],
-    ids=["chain-omega1-nan"],
+    ids=["chain-omega1-nan", "chain-g1-g2-overflow", "chain-chi-overflow"],
 )
 def test_bad_numeric_flags_exit_two_before_analysis(capsys, monkeypatch, argv, message):
     # each of these once ran the analysis: exit 1 as a numerical failure,

@@ -18,7 +18,7 @@ from oscontrol import (
     number,
     squeeze,
 )
-from oscontrol.closure import PRIMES
+from oscontrol.closure import PRIMES, _symmetric
 from oracles import bracket_form, brute_force_closure_rank, brute_force_closure_rank_mod_p
 
 # the package exports the function closure under the submodule's name
@@ -325,3 +325,28 @@ def test_exactness_guard_rejects_n_beyond_127():
     with pytest.raises(ValueError, match="n <= 127"):
         closure([from_terms(128, [number(1, 1.0)])])
 
+
+
+def test_symmetric_passes_an_exactly_symmetric_matrix_through_unchanged():
+    # 0.5 * (A + A^T) once overflowed at 1e308; 0.5 * A + 0.5 * A^T would
+    # flush 5e-324 to zero
+    A = np.array([[1e308, 5e-324, 0.0, -1.7e308],
+                  [5e-324, -1e308, 0.3, 0.0],
+                  [0.0, 0.3, 5e-324, 1.0],
+                  [-1.7e308, 0.0, 1.0, 2.0]])
+    out = _symmetric(QuadraticHamiltonian(2, A))
+    assert out.tobytes() == A.tobytes()
+
+
+def test_symmetric_averages_a_rounding_level_asymmetry():
+    A = np.array([[1.0, 0.3], [0.3 + 2e-16, 2.0]])
+    out = _symmetric(QuadraticHamiltonian(1, A))
+    assert out[0, 1] == out[1, 0] == 0.5 * (0.3 + (0.3 + 2e-16))
+    assert out[0, 0] == 1.0 and out[1, 1] == 2.0
+
+
+def test_closure_of_an_entry_near_the_largest_double():
+    # once an OverflowError from _residue, after A + A^T overflowed to inf
+    big = QuadraticHamiltonian(1, np.diag([1e308, 1.0]), label="H0")
+    sub = closure([big, from_terms(1, [squeeze(1, 1.0)], label="H1")])
+    assert sub.dimension == 3 and sub.full_rank

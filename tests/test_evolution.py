@@ -346,3 +346,23 @@ def test_control_count_mismatch_in_long_schedule_raises_before_expm(monkeypatch)
         ControlSchedule.from_pairs(pairs)
     with pytest.raises(ValueError, match="schedule supplies 1 control values per segment, model has 2"):
         propagate(model, ControlSchedule(np.ones((600, 2))))
+
+
+@pytest.mark.parametrize(
+    "S", [np.diag([2.0, 0.5]), np.array([[1.0, 1.0], [0.0, 1.0]])], ids=["squeeze", "shear"]
+)
+def test_evolve_covariance_raises_when_the_transport_overflows(S):
+    # S sigma S^T has an infinite entry: once a covariance with inf, which the
+    # report renderer refused with exit 2
+    state = CovarianceState(np.diag([1e308, 1e308]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is reported, not warned about
+        with pytest.raises(AnalysisError, match="S sigma S\\^T has non-finite entries"):
+            evolve_covariance(state, S)
+
+
+def test_evolve_covariance_symmetrises_without_overflow():
+    # the mean of two finite entries near the largest double is finite
+    sigma = np.array([[1.0, 1.5e308], [1.5e308, 1.0]])
+    out = evolve_covariance(CovarianceState(sigma), np.eye(2))
+    assert np.array_equal(out.sigma, sigma)

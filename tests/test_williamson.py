@@ -5,13 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscontrol import (
+    AnalysisError,
     ChainSpec,
     DefinitenessError,
     QuadraticHamiltonian,
     RecurrenceQuery,
+    audit_symplecticity,
     build_chain,
     find_recurrence,
-    is_symplectic,
     spectrum_certificate,
     symplectic_eigenvalues,
     symplectic_form,
@@ -54,7 +55,7 @@ def test_williamson_identity_matrix():
     dec = williamson_decompose(QuadraticHamiltonian(2, np.eye(4)))
     assert np.allclose(dec.nu, [1.0, 1.0], atol=1e-12)
     assert dec.residual <= 1e-12
-    assert is_symplectic(dec.V, 1e-8)
+    assert audit_symplecticity(dec.V) <= 1e-8
 
 
 def test_williamson_single_mode_analytic_case():
@@ -73,7 +74,7 @@ def test_williamson_degenerate_spectra_under_congruence(nu0):
         A = S @ np.diag(np.repeat(nu0, 2)) @ S.T
         H = QuadraticHamiltonian(3, 0.5 * (A + A.T))
         dec = williamson_decompose(H)
-        assert is_symplectic(dec.V, 1e-8)
+        assert audit_symplecticity(dec.V) <= 1e-8
         assert dec.residual <= 1e-8 * np.linalg.norm(H.A)
         assert np.allclose(dec.nu, nu0, rtol=1e-9)
         assert np.allclose(dec.nu, symplectic_eigenvalues(H), rtol=1e-9)
@@ -133,7 +134,7 @@ def test_williamson_properties_random_sample():
         H = QuadraticHamiltonian(n, A)
         dec = williamson_decompose(H)
         assert dec.residual <= 1e-8 * np.linalg.norm(A)
-        assert is_symplectic(dec.V, 1e-8)
+        assert audit_symplecticity(dec.V) <= 1e-8
         assert np.all(np.diff(dec.nu) >= 0)
         assert np.allclose(dec.nu, symplectic_eigenvalues(H), atol=1e-8)
 
@@ -194,6 +195,14 @@ def test_plain_matrix_input_is_validated_like_a_hamiltonian():
         for message, A in bad.items():
             with pytest.raises(ValueError, match=message):
                 fn(A)
+
+
+@pytest.mark.parametrize("audit", [np.nan, 1.0])
+def test_williamson_rejects_a_basis_that_fails_the_audit(monkeypatch, audit):
+    # the bound is compared directly, so a NaN audit fails as a large one does
+    monkeypatch.setattr("oscontrol.williamson.audit_symplecticity", lambda V: audit)
+    with pytest.raises(AnalysisError, match="failed the symplecticity audit"):
+        williamson_decompose(QuadraticHamiltonian(1, np.diag([4.0, 1.0])))
 
 
 def test_williamson_rejects_indefinite_with_offender():
