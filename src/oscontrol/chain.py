@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, ClassVar, NamedTuple, Optional, Union
 
@@ -92,26 +93,32 @@ def build_chain(spec: ChainSpec) -> ControlModel:
     drift_terms = [ham.number(j, spec.omega) for j in range(1, n + 1)]
     drift_terms += [ham.hop(j, j + 1, spec.g1) for j in range(1, n)]
     drift_terms += [ham.pair(j, j + 1, spec.g2) for j in range(1, n)]
-    return ControlModel(drift=ham.from_terms(n, drift_terms, label="H0"), controls=_controls(spec))
-
-
-def _controls(spec: ChainSpec) -> tuple[QuadraticHamiltonian, QuadraticHamiltonian]:
-    """The site-1 controls number(1, omega1) and squeeze(1, chi)."""
-    return (
-        ham.from_terms(spec.n, [ham.number(1, spec.omega1)], label="H1"),
-        ham.from_terms(spec.n, [ham.squeeze(1, spec.chi)], label="H2"),
+    controls = (
+        ham.from_terms(n, [ham.number(1, spec.omega1)], label="H1"),
+        ham.from_terms(n, [ham.squeeze(1, spec.chi)], label="H2"),
     )
+    return ControlModel(drift=ham.from_terms(n, drift_terms, label="H0"), controls=controls)
 
 
-def _window(spec: ChainSpec, model: ControlModel) -> tuple[ChainSpec, ControlModel]:
-    """The chain on sites 1..3 of ``model``, the chain of ``spec``: (spec, model).
+def _drift_extremes(spec: ChainSpec) -> np.ndarray:
+    """The drift's extreme eigenvalues omega -+ r, r = 2 (|g1| + |g2|) cos(pi / (n + 1)).
 
-    Its drift is the top-left 6 x 6 block of ``model``'s, which is the
-    3-site chain's drift exactly.
+    Its q and p blocks are tridiagonal Toeplitz, omega on the diagonal and
+    g1 +- g2 beside it, so its spectrum is omega + 2 (g1 +- g2) cos(pi k / (n + 1)),
+    k = 1..n; for n = 1, with no bond, it is exactly omega. r is formed so
+    that it overflows only where r itself does, and cos(pi / (n + 1)) rounds
+    to 1.0 long before n + 1 = 2^64, where a longer chain reads it.
+    Raises ValueError naming n, g1 and g2 when r is not finite.
     """
-    window = replace(spec, n=3)
-    drift = QuadraticHamiltonian(3, model.drift.A[:6, :6], label="H0")
-    return window, ControlModel(drift=drift, controls=_controls(window))
+    if spec.n == 1:
+        return np.array([spec.omega, spec.omega])
+    r = (abs(spec.g1) + abs(spec.g2)) * (2 * math.cos(math.pi / min(spec.n + 1, 2 ** 64)))
+    if not math.isfinite(r):
+        raise ValueError(
+            f"g1 and g2 overflow the drift's spectrum: 2 (|g1| + |g2|) cos(pi / (n + 1)) "
+            f"must be finite, got n = {spec.n}, g1 = {spec.g1}, g2 = {spec.g2}"
+        )
+    return np.array([spec.omega - r, spec.omega + r])
 
 
 class PositivityCheck(NamedTuple):
@@ -122,23 +129,23 @@ class PositivityCheck(NamedTuple):
     min_eigenvalue: float
 
 
-def _triple_message(spec: ChainSpec, drift_eigenvalues: np.ndarray) -> Optional[str]:
+def _triple_message(spec: ChainSpec, drift_extremes: np.ndarray) -> Optional[str]:
     """Why the triple {H0, H0 + N_1, H0 + N_1 + S_1 / 2} fails, or None.
 
     N_1 = H1 / omega1 and S_1 = H2 / chi are the unit rotation and squeeze on
     site 1. T1 - T0 = N_1 is the identity on site 1 and T2 - T0 = N_1 + S_1 / 2
     is diag(2, 0) there, both positive semidefinite, so in the Loewner order
     T2 >= T0 and T1 >= T0: T0 > 0 makes every member positive definite, and
-    the drift's one spectrum decides the triple. The triple spans
+    the drift's spectrum decides the triple. The triple spans
     span{H0, H1, H2} when omega1 and chi are nonzero.
     """
     for name, control in (("omega1", "H1"), ("chi", "H2")):
         if getattr(spec, name) == 0:
             return f"triple not formed: {name} = 0, so the control {control} vanishes"
-    if not _positive_definite(drift_eigenvalues):
+    if not _positive_definite(drift_extremes):
         return (
             f"triple member T0 is not positive definite: "
-            f"smallest eigenvalue {drift_eigenvalues[0]:.6e}"
+            f"smallest eigenvalue {drift_extremes[0]:.6e}"
         )
     return None
 
@@ -366,18 +373,15 @@ def identity_suite_unmet(spec: ChainSpec) -> list[str]:
     return unmet
 
 
-def verify_bracket_identities(
-    spec: ChainSpec, model: Optional[ControlModel] = None,
-) -> IdentityReport:
+def verify_bracket_identities(spec: ChainSpec) -> IdentityReport:
     """Machine-check the bracket-identity chain behind local controllability, exactly.
 
-    Every identity touches sites 1-3 only, so the suite runs on the chain's
-    3-site window at the spec's (omega, g, omega1, chi), and each record's
-    ``lhs`` and ``rhs`` are 6 x 6 generators whatever ``spec.n``. The check
-    is over F_p, p = ``PRIMES[0]``: an identity holds when its two sides
-    agree mod p, with no tolerance. ``model`` is the chain of ``spec`` when
-    the caller has built it already; the window is read from it. Otherwise
-    the 3-site chain is built.
+    Every identity touches sites 1-3 only, so the suite runs on the 3-site
+    chain at the spec's (omega, g, omega1, chi), whose drift is the top-left
+    6 x 6 block of the chain's, and each record's ``lhs`` and ``rhs`` are
+    6 x 6 generators whatever ``spec.n``. The check is over F_p,
+    p = ``PRIMES[0]``: an identity holds when its two sides agree mod p,
+    with no tolerance.
 
     Raises ``ValueError`` naming every precondition of
     :func:`identity_suite_unmet` that ``spec`` fails.
@@ -385,14 +389,10 @@ def verify_bracket_identities(
     unmet = identity_suite_unmet(spec)
     if unmet:
         raise ValueError(f"identity suite needs {'; '.join(unmet)}")
-    if model is None:
-        model = build_chain(replace(spec, n=3))
-    elif model.n != spec.n:
-        raise ValueError(f"model has {model.n} sites, spec has n = {spec.n}")
-
+    window = replace(spec, n=3)
     p = PRIMES[0]
     records = []
-    for name, lhs_builder, rhs in _identity_table(*_window(spec, model), p):
+    for name, lhs_builder, rhs in _identity_table(window, build_chain(window), p):
         lhs = _reduce(lhs_builder(1), p)
         records.append(IdentityRecord(name, lhs, rhs, holds=not _reduce(lhs - rhs, p).any()))
     return IdentityReport(
@@ -514,16 +514,15 @@ class ControllabilityReport:
 
     ``rank`` is the one source of the closure's dimension and of how it was
     decided: a ``ChainInduction`` where the paper's induction applies, else
-    the ``LieSubspace`` of the closure. ``model`` is the chain analysed.
-    ``identities`` is its 3-site bracket-identity suite, checked once over
-    F_p, where the suite applies and the squeeze control is included; else
-    None. The induction certificate reads the same report.
+    the ``LieSubspace`` of the closure. ``identities`` is the chain's 3-site
+    bracket-identity suite, checked once over F_p, where the suite applies
+    and the squeeze control is included; else None.
 
     CONTROLLABLE: rank criterion met (``rank.full_rank``) and the
     generating triple {H0, H0 + N_1, H0 + N_1 + S_1 / 2} positive definite
     (``triple_message`` is None). ``positivity.actual`` and the triple are
-    the same decision: the drift's spectrum under ``williamson``'s one
-    definiteness rule, since T0 = H0 bounds the other members from below
+    the same decision: the drift's closed-form extremes under ``williamson``'s
+    one definiteness rule, since T0 = H0 bounds the other members from below
     (:func:`_triple_message`). The triple's closure is not recomputed: the
     triple is an invertible recombination of {H0, H1, H2} and a Lie closure
     depends only on the span of its seeds, so it equals the seeds' closure.
@@ -532,7 +531,6 @@ class ControllabilityReport:
     """
 
     spec: ChainSpec
-    model: ControlModel
     rank: Union[ChainInduction, LieSubspace]
     identities: Optional[IdentityReport]
     positivity: PositivityCheck
@@ -543,39 +541,39 @@ class ControllabilityReport:
 def controllability_report(
     spec: ChainSpec, include_squeeze_control: bool = True,
 ) -> ControllabilityReport:
-    """Run the whole pipeline: build, rank, positivity, triple, verdict.
+    """Run the whole pipeline: positivity, triple, rank, verdict.
 
-    The rank comes from the chain's induction certificate where it applies
-    (:func:`_chain_induction`), else from the exact closure. This is the one
-    place the drift's definiteness and the triple are decided, both by
-    ``williamson``'s rule on the drift's one spectrum, the one eigensolve
-    of the report.
+    This is the one place the drift's definiteness and the triple are
+    decided, both by ``williamson``'s rule on :func:`_drift_extremes`. The
+    rank comes from the chain's induction certificate where it applies
+    (:func:`_chain_induction`), which builds only the 3-site chain, else
+    from the exact closure, the one place the whole chain is built.
 
     ``include_squeeze_control=False`` restricts the controls to the local
     rotation only, the regime where the reachable set stays passive.
 
-    Raises ValueError for n > 127, the closure's limit, before the chain is
-    built.
+    Raises ValueError where the drift's spectrum overflows, and for n > 127,
+    the closure's limit, where the closure runs, before the chain is built.
     """
-    _require_exact_size(spec.n)
-    model = build_chain(spec)
-    identities = None
-    if include_squeeze_control and not identity_suite_unmet(spec):
-        identities = verify_bracket_identities(spec, model=model)
-    rank = _chain_induction(spec, identities)
-    if rank is None:
-        controls = model.controls if include_squeeze_control else model.controls[:1]
-        rank = closure([model.drift, *controls])
     # one spectrum and one rule decide both positivity.actual and the triple
-    drift_eigenvalues = np.linalg.eigvalsh(model.drift.A)
+    drift_extremes = _drift_extremes(spec)
     g1, g2 = spec.g1 / spec.omega, spec.g2 / spec.omega
     positivity = PositivityCheck(
         sufficient=g1 > 0 and g2 > 0 and g1 + g2 < 0.5,
-        actual=_positive_definite(drift_eigenvalues),
-        min_eigenvalue=float(drift_eigenvalues[0]),
+        actual=_positive_definite(drift_extremes),
+        min_eigenvalue=float(drift_extremes[0]),
     )
+    identities = None
+    if include_squeeze_control and not identity_suite_unmet(spec):
+        identities = verify_bracket_identities(spec)
+    rank = _chain_induction(spec, identities)
+    if rank is None:
+        _require_exact_size(spec.n)
+        model = build_chain(spec)
+        controls = model.controls if include_squeeze_control else model.controls[:1]
+        rank = closure([model.drift, *controls])
     if include_squeeze_control:
-        triple_message = _triple_message(spec, drift_eigenvalues)
+        triple_message = _triple_message(spec, drift_extremes)
     else:
         triple_message = "triple not attempted: squeeze control excluded"
 
@@ -588,7 +586,6 @@ def controllability_report(
 
     return ControllabilityReport(
         spec=spec,
-        model=model,
         rank=rank,
         identities=identities,
         positivity=positivity,

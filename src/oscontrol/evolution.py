@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .hamiltonians import QuadraticHamiltonian, _readonly
-from .symplectic import _symmetric_part, audit_symplecticity, expm, symplectic_form
+from .symplectic import _symmetric_part, _unit_scaled, audit_symplecticity, expm, symplectic_form
 from .williamson import AnalysisError
 
 __all__ = [
@@ -168,12 +168,14 @@ class CovarianceState:
         sigma = np.asarray(self.sigma, dtype=float)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
             raise ValueError(f"sigma must be square with even dimension, got {sigma.shape}")
-        if np.linalg.norm(sigma - sigma.T) > 1e-10 * max(1.0, np.linalg.norm(sigma)):
+        scaled, s = _unit_scaled(sigma)
+        bound = 1e-10 * max(s, np.linalg.norm(scaled))  # s times 1e-10 * max(1, ||sigma||_F)
+        if np.linalg.norm(scaled - scaled.T) > bound:
             raise ValueError("sigma must be symmetric")
         if self.check_physical:
             omega = symplectic_form(sigma.shape[0] // 2)
             w = np.linalg.eigvalsh(sigma + 0.5j * omega)
-            if w[0] < -1e-10 * max(1.0, np.linalg.norm(sigma)):
+            if w[0] * s < -bound:
                 raise ValueError(
                     f"sigma violates the uncertainty relation: "
                     f"min eig(sigma + i Omega / 2) = {w[0]:.6e}"

@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .symplectic import symplectic_form
+from .symplectic import _unit_scaled, symplectic_form
 
 __all__ = [
     "QuadraticHamiltonian",
@@ -61,7 +61,8 @@ class QuadraticHamiltonian:
             raise ValueError(f"A must have shape ({dim}, {dim}), got {A.shape}")
         if not np.all(np.isfinite(A)):
             raise ValueError("A has non-finite entries")
-        if np.linalg.norm(A - A.T) > SYMMETRY_TOL * max(1.0, np.linalg.norm(A)):
+        scaled, s = _unit_scaled(A)  # both sides times s: neither norm overflows
+        if np.linalg.norm(scaled - scaled.T) > SYMMETRY_TOL * max(s, np.linalg.norm(scaled)):
             raise ValueError(f"A must be symmetric to {SYMMETRY_TOL}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "A", _readonly(A))

@@ -8,6 +8,7 @@ copies of the 2x2 rotation generator.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -48,6 +49,21 @@ def _symmetric_part(M: np.ndarray) -> np.ndarray:
     An entry equal to its transpose passes through bit for bit.
     """
     return np.where(M == M.T, M, 0.5 * M + 0.5 * M.T)
+
+
+def _unit_scaled(M: np.ndarray) -> tuple[np.ndarray, float]:
+    """(s M, s) for the power of two s <= 1 that brings M's largest entry below 1.
+
+    numpy's Frobenius norm squares the entries and overflows once ||M||_F
+    passes about 1.3e154; that of s M does not. Scaling by a power of two is
+    exact, so a comparison of norms taken on s M, against bounds times s,
+    decides as the unscaled one wherever that one does not overflow. A
+    matrix whose entries are all below 1, or that has a non-finite one,
+    has s = 1.
+    """
+    big = float(np.max(np.abs(M), initial=0.0))
+    s = 2.0 ** -max(0, math.frexp(big)[1])  # frexp gives exponent 0 for inf and nan
+    return M * s, s
 
 
 def audit_symplecticity(S) -> float:

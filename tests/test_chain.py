@@ -203,20 +203,73 @@ def test_vanishing_control_names_its_parameter():
         assert rep.verdict in ("RANK_ONLY", "NOT_ESTABLISHED")
 
 
-def test_one_report_makes_one_eigensolve(monkeypatch):
-    # the drift's spectrum decides positivity and the whole triple
-    calls = []
-    real = np.linalg.eigvalsh
+def test_a_report_makes_no_eigensolve(monkeypatch):
+    # the drift's closed-form spectrum decides positivity and the whole
+    # triple, on the induction's path and on the closure's
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("an eigensolve ran")
 
-    def counted(A, *args, **kwargs):
-        calls.append(np.shape(A))
-        return real(A, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    for spec in (CANONICAL, replace(CANONICAL, omega1=-2.0, chi=3.0), replace(CANONICAL, g1=0.4)):
-        calls.clear()
+    for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+        monkeypatch.setattr(np.linalg, name, no_eigensolve)
+    for spec in (CANONICAL, replace(CANONICAL, omega1=-2.0, chi=3.0), replace(CANONICAL, g1=0.4),
+                 replace(CANONICAL, n=1), replace(CANONICAL, g2=0.0)):
         controllability_report(spec)
-        assert calls == [(6, 6)]
+        controllability_report(spec, include_squeeze_control=False)
+
+
+GRID_G = (-0.3, 0.0, 0.05, 1.0)
+
+
+def test_drift_extremes_match_eigvalsh():
+    # omega -+ 2 (|g1| + |g2|) cos(pi / (n + 1)) against eigvalsh of the built
+    # drift: the same definiteness decision everywhere, and the extremes within
+    # 1e-14 of omega + 2 (|g1| + |g2|). The drift is linear in (omega, g1, g2)
+    # and has no q-p entries, so its spectrum is that of its q and p blocks.
+    grid = list(itertools.product((0.7, 1.0, 1.5), GRID_G, GRID_G))
+    for n in range(1, 128):
+        unit = build_chain(ChainSpec(n=n)).drift.A
+        hop, pair = (build_chain(ChainSpec(n=n, **{g: 1.0})).drift.A - unit for g in ("g1", "g2"))
+        drifts = np.array([w * unit + g1 * hop + g2 * pair for w, g1, g2 in grid])
+        k = n % len(grid)
+        assert np.array_equal(drifts[k], build_chain(ChainSpec(n, *grid[k])).drift.A)
+        assert not drifts[:, 0::2, 1::2].any()
+        spectra = np.sort(
+            np.concatenate([np.linalg.eigvalsh(drifts[:, j::2, j::2]) for j in (0, 1)], axis=1),
+            axis=1,
+        )
+        for (omega, g1, g2), w in zip(grid, spectra):
+            spec = ChainSpec(n=n, omega=omega, g1=g1, g2=g2)
+            extremes = chain._drift_extremes(spec)
+            bound = 1e-14 * (omega + 2 * (abs(g1) + abs(g2)))
+            assert np.abs(extremes - w[[0, -1]]).max() <= bound, spec
+            assert chain._positive_definite(extremes) == chain._positive_definite(w), spec
+
+
+def test_drift_extremes_of_one_site_are_omega():
+    # a single site has no bond: cos(pi / 2) is not 0 in floating point
+    for g in (0.0, 0.3, -1.0):
+        extremes = chain._drift_extremes(ChainSpec(n=1, omega=1.3, g1=g, g2=g))
+        assert np.array_equal(extremes, [1.3, 1.3])
+
+
+def test_drift_extremes_refuse_a_spectrum_that_overflows():
+    # |g1| + |g2| is finite, so ChainSpec accepts it; 2 cos(pi / 4) > 1 does not
+    spec = ChainSpec(n=3, g1=1.7e308, g2=0.0)
+    with pytest.raises(ValueError, match=r"got n = 3, g1 = 1\.7e\+308, g2 = 0\.0$"):
+        controllability_report(spec)
+    # 2 cos(pi / 3) rounds to 1 + 2^-52: r stays finite, and so does omega - r
+    rep = controllability_report(ChainSpec(n=2, g1=1e308, g2=0.0))
+    assert np.isfinite(rep.positivity.min_eigenvalue)
+    assert rep.verdict == "RANK_ONLY"
+
+
+@pytest.mark.parametrize("n", [2 ** 64, 10 ** 400])
+def test_drift_extremes_of_a_chain_too_long_for_a_float(n):
+    # n + 1 has no float at 10^400; cos(pi / (n + 1)) is 1.0 long before
+    spec = ChainSpec(n=n, g1=0.2, g2=0.2)
+    assert np.array_equal(chain._drift_extremes(spec), [1.0 - 0.8, 1.0 + 0.8])
+    rep = controllability_report(spec)
+    assert (rep.verdict, rep.rank.dimension) == ("CONTROLLABLE", n * (2 * n + 1))
 
 
 def test_positive_triple_closure_matches_raw_controls():
@@ -382,7 +435,7 @@ INDUCTION_GRID = [
 @pytest.mark.parametrize("spec", INDUCTION_GRID, ids=lambda s: f"n{s.n}-g{s.g1}-w{s.omega}")
 def test_induction_certificate_agrees_with_the_closure(spec):
     model = build_chain(spec)
-    certificate = chain._chain_induction(spec, verify_bracket_identities(spec, model=model))
+    certificate = chain._chain_induction(spec, verify_bracket_identities(spec))
     assert certificate == ChainInduction(n=spec.n, prime=PRIMES[0])
     sub = closure([model.drift, *model.controls])
     assert sub.full_rank and sub.dimension == certificate.dimension == full_dimension(spec.n)
@@ -495,8 +548,7 @@ def test_gluing_lemma_closes_to_sp6(monkeypatch):
     short = closure([build_chain(ChainSpec(n=3)).drift])
     monkeypatch.setattr(chain, "_gluing_lemma", lambda: short)
     spec = ChainSpec(n=5, g1=0.1, g2=0.1)
-    model = build_chain(spec)
-    assert chain._chain_induction(spec, verify_bracket_identities(spec, model=model)) is None
+    assert chain._chain_induction(spec, verify_bracket_identities(spec)) is None
     assert controllability_report(spec).rank.certificate == "exact_mod_p"
 
 
@@ -522,21 +574,40 @@ def test_the_induction_runs_one_closure_per_process_whatever_n(monkeypatch):
 
 def test_identity_records_read_the_three_site_window():
     spec = ChainSpec(n=8, g1=0.15, g2=0.15, omega1=0.5, chi=2.0)
-    from_model = verify_bracket_identities(spec, model=build_chain(spec))
-    built = verify_bracket_identities(spec)
-    assert from_model.all_pass
-    for a, b in zip(from_model.records, built.records):
+    long = verify_bracket_identities(spec)
+    short = verify_bracket_identities(replace(spec, n=3))
+    assert long.all_pass
+    for a, b in zip(long.records, short.records):
         assert a.lhs.shape == a.rhs.shape == (6, 6)
         assert np.array_equal(a.lhs, b.lhs) and a.holds is b.holds is True
-    with pytest.raises(ValueError, match="model has 3 sites"):
-        verify_bracket_identities(spec, model=build_chain(ChainSpec(n=3, g1=0.15, g2=0.15)))
 
 
 def test_chain_length_is_bounded_before_the_chain_is_built(monkeypatch):
+    # where the closure runs (g1 != g2, or no squeeze control), n <= 127
+    # binds before the chain is built
     def no_build(spec):
         raise AssertionError("the chain was built")
 
     monkeypatch.setattr(chain, "build_chain", no_build)
     for n in (128, 5000):
-        with pytest.raises(ValueError, match=rf"^exact closure is limited to n <= 127, got n = {n}$"):
-            controllability_report(ChainSpec(n=n, g1=0.2, g2=0.2))
+        for spec, squeeze in ((ChainSpec(n=n, g1=0.1, g2=0.15), True),
+                              (ChainSpec(n=n, g1=0.2, g2=0.2), False)):
+            with pytest.raises(
+                ValueError, match=rf"^exact closure is limited to n <= 127, got n = {n}$"
+            ):
+                controllability_report(spec, include_squeeze_control=squeeze)
+
+
+@pytest.mark.parametrize("n", [128, 1000, 10 ** 6])
+def test_the_induction_certifies_any_length_from_the_three_site_chain(monkeypatch, n):
+    # the induction needs no closure and no chain but the suite's 3-site one
+    builds = []
+    build_chain = chain.build_chain
+    monkeypatch.setattr(
+        chain, "build_chain", lambda spec: builds.append(spec.n) or build_chain(spec)
+    )
+    rep = controllability_report(ChainSpec(n=n, g1=0.2, g2=0.2))
+    assert builds == [3]
+    assert rep.verdict == "CONTROLLABLE"
+    assert rep.rank.certificate == "chain_induction"
+    assert rep.rank.dimension == n * (2 * n + 1)

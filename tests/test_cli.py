@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -611,7 +612,8 @@ def test_rank_chain_shorthand_that_overflows_names_the_field(capsys, tmp_path):
 
 
 def test_rank_entry_near_the_largest_double_is_analysed(capsys, tmp_path):
-    # A + A^T overflowed to inf, and the closure crashed with a traceback
+    # A + A^T overflowed to inf, and the closure crashed with a traceback; then
+    # the symmetry check's norm overflowed, with a RuntimeWarning on stderr
     model = tmp_path / "large_entry.json"
     model.write_text(json.dumps({
         "modes": 1,
@@ -622,20 +624,38 @@ def test_rank_entry_near_the_largest_double_is_analysed(capsys, tmp_path):
         "drift": "H0",
         "controls": ["H1"],
     }))
-    code, out, _ = run_cli(capsys, "rank", "--model", str(model))
-    assert code == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "rank", "--model", str(model))
+    assert (code, err) == (0, "")
     res = report_of(out)["results"]
     assert (res["dimension"], res["rank_criterion_met"]) == (3, True)
 
 
 def test_chain_coupling_near_the_largest_double_is_analysed(capsys):
-    # g1 = 1e308 alone is a finite drift: once the same closure traceback
-    code, out, _ = run_cli(capsys, "chain", "--n", "2", "--g1", "1e308", "--g2", "0")
-    assert code == 1
+    # g1 = 1e308 alone is a finite drift: once the same closure traceback,
+    # then the same RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "chain", "--n", "2", "--g1", "1e308", "--g2", "0")
+    assert (code, err) == (1, "")
     res = report_of(out)["results"]
     assert res["verdict"] == "RANK_ONLY"
     assert (res["dimension"], res["rank_criterion_met"]) == (10, True)
     assert res["positivity"]["actual"] is False
+
+
+def test_chain_spectrum_that_overflows_names_the_couplings(capsys):
+    # |g1| + |g2| is finite but 2 (|g1| + |g2|) cos(pi / 4) is not: once a
+    # RuntimeWarning, then "report values must be finite, got -inf"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "chain", "--n", "3", "--g1", "1.7e308", "--g2", "0")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: g1 and g2 overflow the drift's spectrum: 2 (|g1| + |g2|) cos(pi / (n + 1)) "
+        "must be finite, got n = 3, g1 = 1.7e+308, g2 = 0.0\n"
+    )
 
 
 def test_chain_invalid_flags_exit_two(capsys):
@@ -780,10 +800,11 @@ def test_closure_certificate_in_chain_and_rank_reports(capsys):
     assert "closed" not in rank_report["results"]
 
 
-@pytest.mark.parametrize("n", [3, 100])
+@pytest.mark.parametrize("n", [3, 100, 1000])
 def test_chain_induction_certificate_in_chain_report(capsys, monkeypatch, n):
     # the suite's preconditions hold, so the induction decides the rank with
-    # no closure of the chain, and the report builds the chain once
+    # no closure of the chain, and the report builds only the suite's 3-site
+    # chain: n = 1000 once exited 2 with the closure's limit
     import oscontrol.chain
 
     builds = []
@@ -794,7 +815,7 @@ def test_chain_induction_certificate_in_chain_report(capsys, monkeypatch, n):
     code, out, _ = run_cli(capsys, "chain", "--n", str(n))
     res = report_of(out)["results"]
     assert code == 0
-    assert builds == [n]
+    assert builds == [3]
     assert res["verdict"] == "CONTROLLABLE"
     assert res["dimension"] == res["dimension_full"] == n * (2 * n + 1)
     assert (res["rank_criterion_met"], res["bracket_depth"]) == (True, None)
@@ -805,7 +826,8 @@ def test_chain_induction_certificate_in_chain_report(capsys, monkeypatch, n):
 
 
 def test_chain_beyond_the_closure_limit_exits_two_without_a_report(capsys):
-    code, out, err = run_cli(capsys, "chain", "--n", "128")
+    # g1 != g2: the closure decides the rank, and n <= 127 binds it
+    code, out, err = run_cli(capsys, "chain", "--n", "128", "--g1", "0.1", "--g2", "0.15")
     assert code == 2
     assert (out, err) == ("", "error: exact closure is limited to n <= 127, got n = 128\n")
 

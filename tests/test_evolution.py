@@ -290,6 +290,57 @@ def test_covariance_state_validation_and_physicality():
     CovarianceState(0.1 * np.eye(2))
 
 
+@pytest.mark.parametrize("exponent", [-40, 0, 20, 150, 500])
+def test_covariance_checks_decide_as_the_unscaled_rules(exponent):
+    # both checks run on sigma scaled by a power of two; where the unscaled
+    # norms are finite, they decide as the unscaled rules do
+    rng = np.random.default_rng(exponent + 40)
+    seen = set()
+    for ratio in (0.5, 1 - 1e-12, 1.0, 1 + 1e-12, 2.0):
+        B = rng.standard_normal((4, 4)) * 2.0 ** exponent
+        B = B + B.T
+        E = rng.standard_normal((4, 4))
+        E = E - E.T
+        sigma = B + ratio * 1e-10 * max(1.0, np.linalg.norm(B)) / np.linalg.norm(E - E.T) * E
+        bound = 1e-10 * max(1.0, np.linalg.norm(sigma))
+        asymmetric = np.linalg.norm(sigma - sigma.T) > bound
+        try:
+            CovarianceState(sigma)
+        except ValueError:
+            assert asymmetric
+            seen.add(True)
+        else:
+            assert not asymmetric
+            seen.add(False)
+    assert seen == {True, False}
+    # the uncertainty relation: sigma + i Omega / 2 shifted so that its
+    # smallest eigenvalue sits at, just above and just below the bound
+    half = rng.standard_normal((4, 4)) * 2.0 ** (exponent // 2)
+    sigma = half @ half.T
+    w0 = np.linalg.eigvalsh(sigma + 0.5j * symplectic_form(2))[0]
+    for shift in (-2.0, -1.0, -0.5, 0.0):
+        shifted = sigma + (shift * 1e-10 * max(1.0, np.linalg.norm(sigma)) - w0) * np.eye(4)
+        w = np.linalg.eigvalsh(shifted + 0.5j * symplectic_form(2))
+        unphysical = w[0] < -1e-10 * max(1.0, np.linalg.norm(shifted))
+        try:
+            CovarianceState(shifted, check_physical=True)
+        except ValueError as exc:
+            assert unphysical and "uncertainty relation" in str(exc)
+        else:
+            assert not unphysical
+
+
+def test_covariance_checks_near_the_largest_double_warn_nothing():
+    # ||sigma||_F above about 1.3e154 once overflowed numpy's norm with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        CovarianceState(np.diag([1e308, 1e308]), check_physical=True)
+        with pytest.raises(ValueError, match="sigma must be symmetric"):
+            CovarianceState(np.array([[1e308, 1e308], [-1e308, 1e308]]))
+        with pytest.raises(ValueError, match="uncertainty relation"):
+            CovarianceState(np.diag([1e308, -1e308]), check_physical=True)
+
+
 def _chain_model_and_schedule(seed, segments):
     # every segment's Hamiltonian is positive definite (f1 in [0, 1],
     # |f2| <= 0.4 f1), so S stays moderate over hundreds of segments

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from oscontrol import (
     squeeze,
     symplectic_form,
 )
+from oscontrol.hamiltonians import SYMMETRY_TOL
 from oracles import (
     bracket_form, expand_hop, expand_number, expand_pair, expand_squeeze, random_symmetric,
 )
@@ -166,3 +169,42 @@ def test_positive_definiteness_by_smallest_eigenvalue():
     omega = 0.9
     H = from_terms(1, [number(1, omega)])
     assert np.linalg.eigvalsh(H.A)[0] == pytest.approx(omega, abs=0.0)
+
+
+def _near_symmetric(rng, exponent, ratio, tol):
+    # B + t E with E antisymmetric: ||A - A^T||_F is about ratio times the bound
+    B = rng.standard_normal((4, 4)) * 2.0 ** exponent
+    B = B + B.T
+    E = rng.standard_normal((4, 4))
+    E = E - E.T
+    t = ratio * tol * max(1.0, np.linalg.norm(B)) / np.linalg.norm(E - E.T)
+    return B + t * E
+
+
+@pytest.mark.parametrize("exponent", [-40, 0, 20, 150, 500])
+def test_symmetry_check_decides_as_the_unscaled_rule(exponent):
+    # the check runs on A scaled by a power of two, so it overflows nowhere;
+    # where the unscaled norms are finite, it decides as they do
+    rng = np.random.default_rng(exponent + 40)
+    seen = set()
+    for ratio in (0.5, 1 - 1e-12, 1 - 1e-15, 1.0, 1 + 1e-15, 1 + 1e-12, 2.0):
+        A = _near_symmetric(rng, exponent, ratio, SYMMETRY_TOL)
+        unscaled = np.linalg.norm(A - A.T) > SYMMETRY_TOL * max(1.0, np.linalg.norm(A))
+        try:
+            QuadraticHamiltonian(2, A)
+            rejected = False
+        except ValueError:
+            rejected = True
+        assert rejected == unscaled, (exponent, ratio)
+        seen.add(rejected)
+    assert seen == {True, False}
+
+
+def test_symmetry_check_of_an_entry_near_the_largest_double_warns_nothing():
+    # ||A||_F above about 1.3e154 once overflowed numpy's norm with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        QuadraticHamiltonian(1, [[1e308, 0.0], [0.0, 1.0]])
+        QuadraticHamiltonian(2, np.full((4, 4), -1.7e308))
+        with pytest.raises(ValueError, match="A must be symmetric"):
+            QuadraticHamiltonian(1, [[1.0, 1e308], [-1e308, 1.0]])

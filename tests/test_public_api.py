@@ -32,11 +32,13 @@ def test_removed_names_are_not_exported():
 
 
 def test_removed_attributes_and_parameters():
-    # nothing read QuadraticHamiltonian.dim or ChainInduction.passive, and the
-    # identity mutations of the tests go through chain._identity_table
-    assert list(inspect.signature(oscontrol.verify_bracket_identities).parameters) == [
-        "spec", "model",
-    ]
+    # nothing read QuadraticHamiltonian.dim, ChainInduction.passive or
+    # ControllabilityReport.model; the identity mutations of the tests go
+    # through chain._identity_table, and the suite builds its own 3-site chain
+    assert list(inspect.signature(oscontrol.verify_bracket_identities).parameters) == ["spec"]
+    assert "model" not in oscontrol.ControllabilityReport.__dataclass_fields__
+    report = oscontrol.controllability_report(oscontrol.ChainSpec(n=3, g1=0.2, g2=0.2))
+    assert not hasattr(report, "model")
     assert not hasattr(oscontrol.QuadraticHamiltonian, "dim")
     assert not hasattr(oscontrol.QuadraticHamiltonian(1, [[1.0, 0.0], [0.0, 1.0]]), "dim")
     assert not hasattr(oscontrol.ChainInduction, "passive")

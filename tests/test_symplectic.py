@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from oscontrol import (
     audit_symplecticity, commutator, expm, identity_distance, symplectic_form,
 )
+from oscontrol.symplectic import _unit_scaled
 from oracles import omega_from_formula, random_symmetric
 
 
@@ -243,3 +246,24 @@ def test_hamiltonian_exponentials_are_symplectic(seed, n, t):
     A = random_symmetric(rng, 2 * n)
     S = expm(-A @ symplectic_form(n), t)
     assert audit_symplecticity(S) <= 1e-9
+
+
+@pytest.mark.parametrize("exponent", [-1000, -40, -1, 0, 1, 40, 150, 600, 1020])
+def test_unit_scaled_scales_the_norms_exactly(exponent):
+    # a power of two s <= 1 brings the largest entry below 1; norms of s M
+    # are s times those of M, bit for bit, wherever the latter are finite
+    M = np.random.default_rng(exponent % 7).uniform(0.5, 1.0, (6, 6)) * 2.0 ** exponent
+    S, s = _unit_scaled(M)
+    assert s == min(1.0, 2.0 ** -math.frexp(np.abs(M).max())[1])
+    assert np.abs(S).max() < 1.0
+    if exponent <= 500:
+        assert np.linalg.norm(S) == s * np.linalg.norm(M)
+        assert np.linalg.norm(S - S.T) == s * np.linalg.norm(M - M.T)
+    else:
+        assert np.isfinite(np.linalg.norm(S)) and np.isfinite(np.linalg.norm(S - S.T))
+
+
+def test_unit_scaled_leaves_a_non_finite_matrix_unscaled():
+    for bad in (np.inf, np.nan):
+        S, s = _unit_scaled(np.array([[1e300, bad], [0.0, 1.0]]))
+        assert s == 1.0 and S[0, 0] == 1e300
