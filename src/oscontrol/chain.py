@@ -27,6 +27,7 @@ from .closure import (
 )
 from .evolution import ControlModel
 from .hamiltonians import QuadraticHamiltonian
+from .symplectic import _unit_scaled
 from .williamson import _positive_definite
 
 __all__ = [
@@ -100,25 +101,47 @@ def build_chain(spec: ChainSpec) -> ControlModel:
     return ControlModel(drift=ham.from_terms(n, drift_terms, label="H0"), controls=controls)
 
 
-def _drift_extremes(spec: ChainSpec) -> np.ndarray:
-    """The drift's extreme eigenvalues omega -+ r, r = 2 (|g1| + |g2|) cos(pi / (n + 1)).
+def _drift_radius(spec: ChainSpec) -> float:
+    """r = 2 (|g1| + |g2|) cos(pi / (n + 1)), the drift's spectral radius about omega.
 
     Its q and p blocks are tridiagonal Toeplitz, omega on the diagonal and
     g1 +- g2 beside it, so its spectrum is omega + 2 (g1 +- g2) cos(pi k / (n + 1)),
-    k = 1..n; for n = 1, with no bond, it is exactly omega. r is formed so
-    that it overflows only where r itself does, and cos(pi / (n + 1)) rounds
-    to 1.0 long before n + 1 = 2^64, where a longer chain reads it.
+    k = 1..n; for n = 1, with no bond, it is exactly omega, and r = 0. r is
+    formed so that it overflows only where r itself does, and cos(pi / (n + 1))
+    rounds to 1.0 long before n + 1 = 2^64, where a longer chain reads it.
     Raises ValueError naming n, g1 and g2 when r is not finite.
     """
     if spec.n == 1:
-        return np.array([spec.omega, spec.omega])
+        return 0.0
     r = (abs(spec.g1) + abs(spec.g2)) * (2 * math.cos(math.pi / min(spec.n + 1, 2 ** 64)))
     if not math.isfinite(r):
         raise ValueError(
             f"g1 and g2 overflow the drift's spectrum: 2 (|g1| + |g2|) cos(pi / (n + 1)) "
             f"must be finite, got n = {spec.n}, g1 = {spec.g1}, g2 = {spec.g2}"
         )
+    return r
+
+
+def _drift_extremes(spec: ChainSpec) -> np.ndarray:
+    """The drift's extreme eigenvalues omega -+ r (see :func:`_drift_radius`).
+
+    omega + r may overflow to inf; :func:`_drift_positive_definite` decides
+    definiteness without forming it.
+    """
+    r = _drift_radius(spec)
     return np.array([spec.omega - r, spec.omega + r])
+
+
+def _drift_positive_definite(spec: ChainSpec) -> bool:
+    """``williamson``'s definiteness rule on the drift's extremes, taken on s A.
+
+    s is the power of two that brings omega and r below 1
+    (``symplectic._unit_scaled``), so s omega + s r cannot overflow where
+    omega + r does. Scaling by a power of two is exact, and the rule is
+    invariant under it, so it decides as on A wherever omega + r is finite.
+    """
+    (omega, r), _ = _unit_scaled(np.array([spec.omega, _drift_radius(spec)]))
+    return _positive_definite(np.array([omega - r, omega + r]))
 
 
 class PositivityCheck(NamedTuple):
@@ -129,7 +152,7 @@ class PositivityCheck(NamedTuple):
     min_eigenvalue: float
 
 
-def _triple_message(spec: ChainSpec, drift_extremes: np.ndarray) -> Optional[str]:
+def _triple_message(spec: ChainSpec, positivity: PositivityCheck) -> Optional[str]:
     """Why the triple {H0, H0 + N_1, H0 + N_1 + S_1 / 2} fails, or None.
 
     N_1 = H1 / omega1 and S_1 = H2 / chi are the unit rotation and squeeze on
@@ -142,10 +165,10 @@ def _triple_message(spec: ChainSpec, drift_extremes: np.ndarray) -> Optional[str
     for name, control in (("omega1", "H1"), ("chi", "H2")):
         if getattr(spec, name) == 0:
             return f"triple not formed: {name} = 0, so the control {control} vanishes"
-    if not _positive_definite(drift_extremes):
+    if not positivity.actual:
         return (
             f"triple member T0 is not positive definite: "
-            f"smallest eigenvalue {drift_extremes[0]:.6e}"
+            f"smallest eigenvalue {positivity.min_eigenvalue:.6e}"
         )
     return None
 
@@ -544,7 +567,7 @@ def controllability_report(
     """Run the whole pipeline: positivity, triple, rank, verdict.
 
     This is the one place the drift's definiteness and the triple are
-    decided, both by ``williamson``'s rule on :func:`_drift_extremes`. The
+    decided, both by :func:`_drift_positive_definite`. The
     rank comes from the chain's induction certificate where it applies
     (:func:`_chain_induction`), which builds only the 3-site chain, else
     from the exact closure, the one place the whole chain is built.
@@ -556,12 +579,11 @@ def controllability_report(
     the closure's limit, where the closure runs, before the chain is built.
     """
     # one spectrum and one rule decide both positivity.actual and the triple
-    drift_extremes = _drift_extremes(spec)
     g1, g2 = spec.g1 / spec.omega, spec.g2 / spec.omega
     positivity = PositivityCheck(
         sufficient=g1 > 0 and g2 > 0 and g1 + g2 < 0.5,
-        actual=_positive_definite(drift_extremes),
-        min_eigenvalue=float(drift_extremes[0]),
+        actual=_drift_positive_definite(spec),
+        min_eigenvalue=float(_drift_extremes(spec)[0]),
     )
     identities = None
     if include_squeeze_control and not identity_suite_unmet(spec):
@@ -573,7 +595,7 @@ def controllability_report(
         controls = model.controls if include_squeeze_control else model.controls[:1]
         rank = closure([model.drift, *controls])
     if include_squeeze_control:
-        triple_message = _triple_message(spec, drift_extremes)
+        triple_message = _triple_message(spec, positivity)
     else:
         triple_message = "triple not attempted: squeeze control excluded"
 

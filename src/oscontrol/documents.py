@@ -14,6 +14,7 @@ bytes, modulo the wall-time field.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -57,7 +58,12 @@ def _is_number(value: Any) -> bool:
 def _as_number(value: Any, path: str) -> float:
     if not _is_number(value):
         raise _err(path, f"expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # JSON integers are unbounded
+        raise _err(
+            path, "expected a number within the double range, got a larger integer"
+        ) from None
 
 
 def _as_int(value: Any, path: str) -> int:
@@ -229,32 +235,64 @@ class ModelDocument:
         }
 
 
-def _parse_schedule(raw: list) -> ControlSchedule:
-    """The schedule of a ``segments`` list, type-checked in one pass.
+_NUMBER_TYPES = {int, float}  # exact types, so bool is not a number here
 
-    Field paths are built only when raising. The value checks (positive
-    durations, finite controls, one control count) are the schedule's own.
+
+def _schedule_columns(raw: list) -> Optional[np.ndarray]:
+    """The (k, 1 + m) array of a regular ``segments`` list, or None.
+
+    Regular means every entry is an object with a number ``duration`` and a
+    ``controls`` list of numbers, all lists of one length, and every number
+    within the double range. Anything else is None, for
+    :func:`_parse_schedule` to diagnose entry by entry.
     """
-    pairs = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise _err(f"segments[{i}]", "expected an object")
-        if "duration" not in entry:
-            raise _err(f"segments[{i}]", "missing required field 'duration'")
-        duration = entry["duration"]
-        if not _is_number(duration):
-            raise _err(f"segments[{i}].duration", f"expected a number, got {type(duration).__name__}")
-        if "controls" not in entry:
-            raise _err(f"segments[{i}]", "missing required field 'controls'")
-        values = entry["controls"]
-        if not isinstance(values, list):
-            raise _err(f"segments[{i}].controls", "expected a list of numbers")
-        if not all(map(_is_number, values)):
-            j = next(j for j, v in enumerate(values) if not _is_number(v))
-            raise _err(f"segments[{i}].controls[{j}]", f"expected a number, got {type(values[j]).__name__}")
-        pairs.append((duration, values))
+    if not set(map(type, raw)) <= {dict}:
+        return None
     try:
-        return ControlSchedule.from_pairs(pairs)
+        durations = [entry["duration"] for entry in raw]
+        controls = [entry["controls"] for entry in raw]
+    except KeyError:
+        return None
+    if not (set(map(type, durations)) <= _NUMBER_TYPES and set(map(type, controls)) <= {list}):
+        return None
+    m = len(controls[0]) if controls else 0
+    if not (set(map(len, controls)) <= {m}
+            and set(map(type, itertools.chain.from_iterable(controls))) <= _NUMBER_TYPES):
+        return None
+    segments = np.empty((len(raw), 1 + m))
+    try:
+        segments[:, 0] = durations
+        segments[:, 1:] = controls
+    except OverflowError:  # an integer beyond the double range
+        return None
+    return segments
+
+
+def _parse_schedule(raw: list) -> ControlSchedule:
+    """The schedule of a ``segments`` list.
+
+    A regular list is read as columns (:func:`_schedule_columns`); any other
+    is checked entry by entry, which names the first offending field. The
+    value checks (positive durations, finite controls, one control count)
+    are the schedule's own.
+    """
+    segments = _schedule_columns(raw)
+    if segments is None:
+        pairs = []
+        for i, entry in enumerate(raw):
+            path = f"segments[{i}]"
+            if not isinstance(entry, dict):
+                raise _err(path, "expected an object")
+            duration = _as_number(_get(entry, "duration", path), f"{path}.duration")
+            values = _get(entry, "controls", path)
+            if not isinstance(values, list):
+                raise _err(f"{path}.controls", "expected a list of numbers")
+            values = [_as_number(v, f"{path}.controls[{j}]") for j, v in enumerate(values)]
+            pairs.append((duration, values))
+    try:
+        if segments is None:
+            return ControlSchedule.from_pairs(pairs)
+        return ControlSchedule(segments)
     except ValueError as exc:  # its message already names segments[i]
         raise DocumentError(str(exc)) from exc
 

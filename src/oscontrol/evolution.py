@@ -5,8 +5,9 @@ exactly over segments of constant control values: later segments multiply on
 the left, so S = exp(-A_N Omega d_N) ... exp(-A_1 Omega d_1). A schedule is
 one (k, 1 + m) array of rows (d_i, f_{1,i}, ..., f_{m,i}). The product is
 formed chunk by chunk: each run of up to 256 segments becomes one stack of
-generators and one stacked Pade exponential (``symplectic.expm``), whose
-factors are then multiplied into S in segment order. The same machinery
+generators and one stacked, solve-free Taylor exponential
+(``symplectic.expm``), whose factors are then multiplied into S in segment
+order. The same machinery
 drives classical and quantum oscillator networks; covariance physicality is
 therefore an opt-in check, not a constructor requirement.
 """

@@ -245,6 +245,30 @@ def test_drift_extremes_match_eigvalsh():
             assert chain._positive_definite(extremes) == chain._positive_definite(w), spec
 
 
+def test_scaled_definiteness_rule_decides_as_the_unscaled_one():
+    # on the grid above, and on the same chains times 1e300, where omega + r
+    # is still finite: s A's extremes give the decision of A's
+    grid = list(itertools.product((0.7, 1.0, 1.5), GRID_G, GRID_G))
+    for n in range(1, 128):
+        for scale in (1.0, 1e300):
+            for omega, g1, g2 in grid:
+                spec = ChainSpec(n=n, omega=omega * scale, g1=g1 * scale, g2=g2 * scale)
+                unscaled = chain._positive_definite(chain._drift_extremes(spec))
+                assert chain._drift_positive_definite(spec) == unscaled, spec
+
+
+def test_definiteness_of_a_drift_whose_largest_eigenvalue_overflows():
+    # omega + r is inf, so the unscaled rule's ||A||_2 is inf too
+    spec = ChainSpec(n=2, omega=1.79e308, g1=1e307, g2=0.0)
+    w = chain._drift_extremes(spec)
+    assert w[0] == 1.69e308 and w[1] == np.inf
+    assert chain._drift_positive_definite(spec)
+    rep = controllability_report(spec)
+    assert (rep.positivity.actual, rep.triple_message, rep.verdict) == (True, None, "CONTROLLABLE")
+    # omega - r < 0 at the same scale is still indefinite
+    assert not chain._drift_positive_definite(ChainSpec(n=2, omega=1e308, g1=1.5e308, g2=0.0))
+
+
 def test_drift_extremes_of_one_site_are_omega():
     # a single site has no bond: cos(pi / 2) is not 0 in floating point
     for g in (0.0, 0.3, -1.0):

@@ -611,6 +611,37 @@ def test_rank_chain_shorthand_that_overflows_names_the_field(capsys, tmp_path):
     )
 
 
+BIG = 10 ** 400 + 1  # 401 digits: json reads it, float() overflows
+
+
+@pytest.mark.parametrize(
+    "command, document, path",
+    [
+        ("evolve", {"segments": [{"duration": BIG, "controls": [0.5]}]}, "segments[0].duration"),
+        ("evolve", {"segments": [{"duration": 1.0, "controls": [0.5]}],
+                    "initial_covariance": [[BIG, 0], [0, 1]]}, "initial_covariance[0][0]"),
+        ("williamson", {"modes": 1, "hamiltonians": [{"name": "H0", "matrix": [[BIG, 0], [0, 1]]}],
+                        "drift": "H0", "controls": []}, "hamiltonians[0].matrix[0][0]"),
+        ("rank", {"chain": {"n": 3, "omega": BIG}}, "chain.omega"),
+    ],
+)
+def test_integer_beyond_the_double_range_exits_two_naming_the_field(
+    capsys, tmp_path, command, document, path,
+):
+    # once an uncaught OverflowError: a traceback and exit 1
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(document))
+    if command == "evolve":
+        argv = ["evolve", "--model", str(MODELS / "single_mode.json"), "--schedule", str(doc)]
+    else:
+        argv = [command, "--model", str(doc)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {path}: expected a number within the double range, got a larger integer\n"
+    )
+
+
 def test_rank_entry_near_the_largest_double_is_analysed(capsys, tmp_path):
     # A + A^T overflowed to inf, and the closure crashed with a traceback; then
     # the symmetry check's norm overflowed, with a RuntimeWarning on stderr
@@ -643,6 +674,22 @@ def test_chain_coupling_near_the_largest_double_is_analysed(capsys):
     assert res["verdict"] == "RANK_ONLY"
     assert (res["dimension"], res["rank_criterion_met"]) == (10, True)
     assert res["positivity"]["actual"] is False
+
+
+def test_chain_drift_whose_largest_eigenvalue_overflows_is_positive_definite(capsys):
+    # omega + r = 1.79e308 + 1e307 overflows to inf: the rule once read
+    # ||A||_2 = inf and called the drift indefinite beside a smallest
+    # eigenvalue of 1.69e308 (RANK_ONLY, exit 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "chain", "--n", "2", "--omega", "1.79e308", "--g1", "1e307", "--g2", "0"
+        )
+    assert (code, err) == (0, "")
+    res = report_of(out)["results"]
+    assert res["verdict"] == "CONTROLLABLE"
+    assert res["positivity"] == {"sufficient": False, "actual": True, "min_eigenvalue": 1.69e308}
+    assert res["triple"]["ok"] is True
 
 
 def test_chain_spectrum_that_overflows_names_the_couplings(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oscontrol import ChainSpec, DocumentError, ModelDocument, ScheduleDocument, build_chain
+from oscontrol import documents
 from oscontrol.documents import data_digest, render_report
 
 
@@ -211,6 +212,16 @@ def test_data_digest_is_stable():
          "segments[4999]: segment duration must be positive and finite, got 0.0"),
         ({"duration": 1.0, "controls": [0.5, float("nan")]},
          "segments[4999]: segment control values must be finite"),
+        ({"duration": 1.0, "controls": [[0.5], 0.5]},
+         "segments[4999].controls[0]: expected a number, got list"),
+        ({"duration": 1.0, "controls": [0.5]},
+         "segments[4999]: segment supplies 1 control values, segments[0] supplies 2"),
+        ({"duration": 10 ** 400, "controls": [0.5, 0.5]},
+         "segments[4999].duration: expected a number within the double range, "
+         "got a larger integer"),
+        ({"duration": 1.0, "controls": [0.5, -10 ** 400]},
+         "segments[4999].controls[1]: expected a number within the double range, "
+         "got a larger integer"),
     ],
 )
 def test_schedule_error_in_last_of_5000_segments_names_its_field(entry, message):
@@ -220,3 +231,61 @@ def test_schedule_error_in_last_of_5000_segments_names_its_field(entry, message)
     with pytest.raises(DocumentError) as info:
         ScheduleDocument.from_document({"segments": segments + [entry]})
     assert str(info.value) == message
+
+
+def _random_number(rng, positive=False):
+    """An int or a float, some of them beyond int64 or 2^53, or past the 53-bit mantissa."""
+    kind = rng.integers(5)
+    sign = 1 if positive else int(rng.choice([-1, 1]))
+    if kind == 0:
+        return sign * int(rng.integers(1, 1000))
+    if kind == 1:
+        return sign * (2 ** int(rng.integers(53, 70)) + int(rng.integers(1, 1000)))
+    if kind == 2:
+        return sign * 10 ** int(rng.integers(19, 300)) + 1
+    if kind == 3:
+        return sign * float(rng.uniform(1e-3, 10.0))
+    return sign * float(rng.uniform(0.5, 1.0)) * 10.0 ** int(rng.integers(-300, 300))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_column_parse_matches_the_per_entry_path(m, monkeypatch):
+    # the column-wise array of a regular document, against the per-entry path
+    # that builds one row per segment, bit for bit
+    rng = np.random.default_rng(70 + m)
+    for k in (0, 1, 5, 400):
+        raw = [
+            {"duration": _random_number(rng, positive=True),
+             "controls": [_random_number(rng) for _ in range(m)]}
+            for _ in range(k)
+        ]
+        assert documents._schedule_columns(raw) is not None
+        columns = ScheduleDocument.from_document({"segments": raw}).schedule.segments
+        with monkeypatch.context() as patch:
+            patch.setattr(documents, "_schedule_columns", lambda raw: None)
+            rows = ScheduleDocument.from_document({"segments": raw}).schedule.segments
+        assert columns.shape == rows.shape == ((k, 1 + m) if k else (0, 1))
+        assert columns.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize(
+    "document, kind, path",
+    [
+        ({"segments": [{"duration": 10 ** 400, "controls": [0.5]}]},
+         ScheduleDocument, "segments[0].duration"),
+        ({"segments": [{"duration": 1.0, "controls": [0.5]}],
+          "initial_covariance": [[1.0, 0.0], [0.0, 10 ** 400]]},
+         ScheduleDocument, "initial_covariance[1][1]"),
+        ({"modes": 1, "hamiltonians": [{"name": "H0", "matrix": [[-10 ** 400, 0], [0, 1]]}],
+          "drift": "H0", "controls": []},
+         ModelDocument, "hamiltonians[0].matrix[0][0]"),
+        ({"chain": {"n": 3, "omega": 10 ** 400}}, ModelDocument, "chain.omega"),
+    ],
+)
+def test_an_integer_beyond_the_double_range_names_its_field(document, kind, path):
+    # once an uncaught OverflowError from float(): a traceback, not a document error
+    with pytest.raises(DocumentError) as info:
+        kind.from_document(document)
+    assert str(info.value) == (
+        f"{path}: expected a number within the double range, got a larger integer"
+    )

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from oscontrol import (
     audit_symplecticity, commutator, expm, identity_distance, symplectic_form,
 )
+from oscontrol import symplectic
 from oscontrol.symplectic import _unit_scaled
 from oracles import omega_from_formula, random_symmetric
 
@@ -117,7 +119,7 @@ def test_expm_rejects_non_finite():
         expm(np.eye(2), np.inf)
 
 
-THETA13 = 5.371920351148152
+THETA13 = 5.371920351148152  # SciPy's degree-13 Pade serves 1-norms up to this unscaled
 
 
 def _rotation_stack(rng, n, k):
@@ -142,7 +144,7 @@ def _rotation_stack(rng, n, k):
 def test_stacked_expm_matches_scipy_slice_by_slice(m):
     rng = np.random.default_rng(100 + m)
     G, rot = _rotation_stack(rng, m // 2, 12)
-    # half the slices stay under theta_13, half need 2-4 squarings
+    # half the slices stay under theta_13, half need 2-4 of SciPy's squarings (5-6 here)
     target = np.concatenate([rng.uniform(0.05, 1.0, 6), rng.uniform(4.0, 8.0, 6)]) * THETA13
     t = target / np.abs(G).sum(axis=1).max(axis=1)
     E = expm(G, t)
@@ -169,6 +171,67 @@ def test_stacked_expm_zero_generator_or_time_is_identity():
     G[1] = 0.0
     E = expm(G, np.array([50.0, 50.0, 0.0]))
     assert np.array_equal(E[1], np.eye(4)) and np.array_equal(E[2], np.eye(4))
+    # T_18(0) is the identity exactly, also beside a slice squared some 40 times
+    E = expm(np.stack([symplectic_form(2), np.zeros((4, 4))]), np.array([1e12, 1e12]))
+    assert np.array_equal(E[1], np.eye(4))
+
+
+def _theta(m: int, terms: int = 100) -> float:
+    """The largest theta with sum_{k>m} |h_k| theta^(k-1) <= 2^-53 (Al-Mohy & Higham 2009).
+
+    h_k are the coefficients of log(e^-x T_m(x)) = log(1 + u), summed exactly in
+    rationals up to x^terms: u = O(x^(m+1)), so u^j for j > terms / (m + 1)
+    adds nothing below x^terms. The tail beyond is far below 2^-53 at theta ~ 1.
+    """
+    e_minus = [Fraction((-1) ** k, math.factorial(k)) for k in range(terms + 1)]
+    u = [sum(e_minus[k - i] / math.factorial(i) for i in range(min(k, m) + 1))
+         for k in range(terms + 1)]
+    assert u[0] == 1 and not any(u[1:m + 1])
+    u[0] = Fraction(0)
+    h, power = [Fraction(0)] * (terms + 1), u
+    for j in range(1, terms // (m + 1) + 1):
+        h = [a + Fraction((-1) ** (j + 1), j) * b for a, b in zip(h, power)]
+        power = [sum(power[i] * u[k - i] for i in range(k + 1)) for k in range(terms + 1)]
+    magnitudes = [float(abs(x)) for x in h]
+
+    def backward_error(theta):
+        return sum(magnitudes[k] * theta ** (k - 1) for k in range(m + 1, terms + 1))
+
+    lo, hi = 0.5, 2.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if backward_error(mid) <= 2.0 ** -53 else (lo, mid)
+    return lo
+
+
+def test_theta18_is_the_backward_error_bound():
+    assert abs(_theta(18) - symplectic._THETA18) <= 1e-6
+
+
+def test_expm_never_solves(monkeypatch):
+    # T_18 needs matrix products only, on the stacked and the 2-D path alike
+    calls, solve = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(args) or solve(*args))
+    rng = np.random.default_rng(3)
+    G, _ = _rotation_stack(rng, 2, 6)
+    expm(G, np.array([0.0, 0.1, 1.0, 10.0, 1e3, 1e6]))
+    expm(G[0], 1e4)
+    assert calls == []
+
+
+@pytest.mark.parametrize("t", [1e2, 1e4, 1e6])
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_expm_of_a_rotation_at_large_time(m, t):
+    # the rounding of G t itself bounds the error: measured at most
+    # 3.4 eps ||G t||_1 relative for m = 2, 4, 8 and t = 1e2 .. 1e12
+    rng = np.random.default_rng(300 + m)
+    G, rot = _rotation_stack(rng, m // 2, 8)
+    E = expm(G, np.full(8, t))
+    for i, (Q, nu) in enumerate(rot):
+        c, s = np.cos(nu * t), np.sin(nu * t)
+        exact = Q @ scipy.linalg.block_diag(*[[[a, -b], [b, a]] for a, b in zip(c, s)]) @ Q.T
+        bound = 10 * np.finfo(float).eps * np.abs(G[i] * t).sum(axis=0).max()
+        assert np.linalg.norm(E[i] - exact) <= bound * np.linalg.norm(exact)
 
 
 @pytest.mark.parametrize("m", [2, 4, 8])
